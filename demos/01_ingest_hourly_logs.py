@@ -16,13 +16,8 @@ from hoaxlens import (
     clean_title,
     ingest,
     load_store,
-    parse_line,
     save_store,
 )
-
-# A log line is four space-separated fields: project, title, count, bytes.
-line = parse_line("en Main_Page 42 12345")
-print(f"parsed: project={line.project} title={line.title} count={line.count}")
 
 # Titles arrive percent-encoded and fragment-suffixed; cleaning normalizes them.
 for raw in ["Main%20Page", "Caf%C3%A9", "Article#Section", "#Only_a_fragment", "bad|pipe"]:
@@ -30,6 +25,7 @@ for raw in ["Main%20Page", "Caf%C3%A9", "Article#Section", "#Only_a_fragment", "
 
 scratch = Path(tempfile.mkdtemp(prefix="traffic_demo_"))
 
+# A log line is four space-separated fields: project, title, count, bytes.
 # Two hours of one day, then one hour of the next. The second file is gzipped,
 # the way real dumps are shipped.
 hour_a = scratch / "pagecounts-20070310-010000"

@@ -6,39 +6,26 @@ compare each article's link-neighborhood traffic drop against its cohort.
 """
 
 from .attention import (
-    AttentionScore,
-    BootstrapSummary,
-    CohortAttentionResult,
-    FeatureZScore,
     bootstrap_mean_ci,
-    bootstrap_resample_means,
     cohort_d,
     delta_v,
     modified_z,
 )
 from .corpus import (
-    ArticleMeta,
-    CohortRecord,
     build_cohort,
-    fetch_live,
     load_creation_list,
-    load_hoaxes,
     neighbor_set,
 )
 from .logstore import (
     FilterConfig,
     RedirectTable,
-    TrafficStore,
     clean_title,
-    filter_entry,
     ingest,
     load_store,
-    parse_line,
     save_store,
     window_totals,
 )
 from .wikitext import (
-    ArticleFeatures,
     ArticleSource,
     compute_features,
     count_words,
@@ -50,19 +37,10 @@ from .wikitext import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArticleFeatures",
-    "ArticleMeta",
     "ArticleSource",
-    "AttentionScore",
-    "BootstrapSummary",
-    "CohortAttentionResult",
-    "CohortRecord",
-    "FeatureZScore",
     "FilterConfig",
     "RedirectTable",
-    "TrafficStore",
     "bootstrap_mean_ci",
-    "bootstrap_resample_means",
     "build_cohort",
     "clean_title",
     "cohort_d",
@@ -71,15 +49,11 @@ __all__ = [
     "delta_v",
     "extract_external_links",
     "extract_wikilinks",
-    "fetch_live",
-    "filter_entry",
     "ingest",
     "load_creation_list",
-    "load_hoaxes",
     "load_store",
     "modified_z",
     "neighbor_set",
-    "parse_line",
     "save_store",
     "strip_markup",
     "window_totals",

@@ -7,7 +7,7 @@ same-day cohort; a positive difference means attention preceded creation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class BootstrapSummary:
     ci_low: float
     ci_high: float
     seed: int
+    means: np.ndarray = field(compare=False, repr=False)
 
 
 def modified_z(x: float, cohort_values, feature: str = "") -> FeatureZScore:
@@ -140,7 +141,10 @@ def bootstrap_resample_means(values, resamples: int = 10000, seed: int = 0) -> n
 
 
 def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> BootstrapSummary:
-    """Percentile bootstrap 95% CI for the mean; same seed, same interval."""
+    """Percentile bootstrap 95% CI for the mean; same seed, same interval.
+
+    The resample means the interval comes from are returned as ``means``.
+    """
     values = list(values)
     means = bootstrap_resample_means(values, resamples=resamples, seed=seed)
     low, high = np.percentile(means, [2.5, 97.5])
@@ -150,4 +154,5 @@ def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> Bootstra
         ci_low=float(low),
         ci_high=float(high),
         seed=seed,
+        means=means,
     )

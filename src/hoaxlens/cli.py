@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import glob
 import json
 import logging
 import sys
@@ -122,18 +121,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _log_files(spec: str) -> list[Path]:
-    path = Path(spec)
+def _log_files(path: Path) -> list[Path]:
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if logstore.HOUR_FILE_RE.match(p.name))
-    elif glob.has_magic(spec):
-        files = sorted(Path(p) for p in glob.glob(spec))
-    elif path.exists():
-        files = [path]
     else:
-        files = []
+        files = [path]
     if not files:
-        raise InputError(f"no log files matched {spec!r}")
+        raise InputError(f"no log files matched {str(path)!r}")
     return files
 
 
@@ -149,10 +143,15 @@ def _load_hoaxes_unique(path: Path) -> list[corpus.ArticleMeta]:
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    files = _log_files(str(_require(cfg.logs, "logs")))
-    filter_cfg = logstore.FilterConfig.load(_require(cfg.filter_config, "filter_config"))
-    table = logstore.RedirectTable.load(_require(cfg.redirect_table, "redirect_table"))
-    store = logstore.ingest(files, table, filter_cfg)
+    files = _log_files(_require(cfg.logs, "logs"))
+    filter_path = _require(cfg.filter_config, "filter_config")
+    redirect_path = _require(cfg.redirect_table, "redirect_table")
+    try:
+        filter_cfg = logstore.FilterConfig.load(filter_path)
+        table = logstore.RedirectTable.load(redirect_path)
+        store = logstore.ingest(files, table, filter_cfg)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     logstore.save_store(store, cfg.store_dir())
@@ -386,8 +385,7 @@ def cmd_attention(cfg: RunConfig) -> int:
             ["bin_left", "bin_right", "count"],
             [[l, r, c] for l, r, c in zip(edges[:-1], edges[1:], counts)],
         )
-        means = attention.bootstrap_resample_means(d_values, resamples=cfg.resamples, seed=cfg.seed)
-        m_edges, m_counts = svgplot.compute_histogram(means, bins=cfg.histogram_bins)
+        m_edges, m_counts = svgplot.compute_histogram(boot.means, bins=cfg.histogram_bins)
         _write_csv(
             out / BOOT_HISTOGRAM_CSV,
             ["bin_left", "bin_right", "count"],
@@ -515,10 +513,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out = args.out
         return args.func(cfg)
-    except (InputError, corpus.MalformedRecord, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, corpus.MalformedRecord, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

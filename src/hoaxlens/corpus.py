@@ -1,4 +1,4 @@
-"""Article metadata, same-day creation cohorts, link neighborhoods, live fetch.
+"""Article metadata, same-day creation cohorts, link neighborhoods.
 
 A hoax's cohort is every non-redirect, non-hoax article created on the same UTC
 day, with redirect sources collapsed away so each canonical page appears once.
@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import csv
 import logging
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .logstore import RedirectTable, clean_title
-from .wikitext import ArticleSource, extract_wikilinks, fixture_filename
+from .wikitext import ArticleSource, extract_wikilinks
 
 log = logging.getLogger(__name__)
 
@@ -194,159 +192,3 @@ def neighbor_set(article: ArticleSource, hoax_titles=frozenset()) -> set[str]:
     if not neighbors:
         raise NoNeighbors(article.title)
     return neighbors
-
-
-@dataclass
-class LiveConfig:
-    """Wiki API endpoint settings; environment variables override the defaults."""
-
-    base_url: str = "https://en.wikipedia.org/w/api.php"
-    timeout: float = 30.0
-    max_concurrency: int = 2
-    user_agent: str = "hoaxlens/0.1 (research tooling)"
-    request_interval: float = 0.1
-
-    @classmethod
-    def from_env(cls, **overrides) -> "LiveConfig":
-        import os
-
-        cfg = cls(**overrides)
-        cfg.base_url = os.environ.get("HOAXLENS_API_URL", cfg.base_url)
-        cfg.user_agent = os.environ.get("HOAXLENS_USER_AGENT", cfg.user_agent)
-        if "HOAXLENS_API_TIMEOUT" in os.environ:
-            cfg.timeout = float(os.environ["HOAXLENS_API_TIMEOUT"])
-        if "HOAXLENS_API_CONCURRENCY" in os.environ:
-            cfg.max_concurrency = int(os.environ["HOAXLENS_API_CONCURRENCY"])
-        return cfg
-
-
-@dataclass
-class FetchReport:
-    fetched: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    not_found: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-
-def _api_get(session, config: LiveConfig, params: dict) -> dict:
-    query = {"format": "json", "formatversion": "2", "action": "query", **params}
-    response = session.get(config.base_url, params=query, timeout=config.timeout)
-    if getattr(response, "status_code", 200) >= 400:
-        raise OSError(f"HTTP {response.status_code}")
-    return response.json()
-
-
-def _fetch_one(session, config: LiveConfig, fixtures_dir: Path, title: str) -> tuple[str, str | None]:
-    """Fetch markup, extract and first-revision timestamp; returns (status, created_at)."""
-    data = _api_get(
-        session,
-        config,
-        {
-            "titles": title,
-            "prop": "revisions|extracts",
-            "rvprop": "content",
-            "rvslots": "main",
-            "rvlimit": "1",
-            "explaintext": "1",
-            "exlimit": "1",
-        },
-    )
-    pages = data.get("query", {}).get("pages", [])
-    if not pages or pages[0].get("missing"):
-        return "not_found", None
-    page = pages[0]
-    revisions = page.get("revisions") or []
-    if not revisions:
-        return "not_found", None
-    markup = revisions[0].get("slots", {}).get("main", {}).get("content", "")
-    time.sleep(config.request_interval)
-    first = _api_get(
-        session,
-        config,
-        {
-            "titles": title,
-            "prop": "revisions",
-            "rvprop": "timestamp",
-            "rvlimit": "1",
-            "rvdir": "newer",
-        },
-    )
-    first_pages = first.get("query", {}).get("pages", [])
-    first_revs = (first_pages[0].get("revisions") or []) if first_pages else []
-    created_at = first_revs[0]["timestamp"] if first_revs else None
-    (fixtures_dir / fixture_filename(title, ".wiki")).write_text(markup, encoding="utf-8")
-    extract = page.get("extract")
-    if extract:
-        (fixtures_dir / fixture_filename(title, ".txt")).write_text(extract, encoding="utf-8")
-    return "fetched", created_at
-
-
-def fetch_live(
-    titles,
-    config: LiveConfig,
-    fixtures_dir: str | Path,
-    session=None,
-) -> FetchReport:
-    """Download article fixtures for titles not already on disk.
-
-    Idempotent: existing ``.wiki`` fixtures are skipped. Per-title failures are
-    tallied, never fatal. Creation timestamps are merged into
-    ``creation_times.csv`` in the fixtures directory.
-    """
-    fixtures_dir = Path(fixtures_dir)
-    fixtures_dir.mkdir(parents=True, exist_ok=True)
-    if session is None:
-        import requests
-
-        session = requests.Session()
-        session.headers["User-Agent"] = config.user_agent
-    report = FetchReport()
-    created: dict[str, str] = {}
-    times_path = fixtures_dir / "creation_times.csv"
-    if times_path.exists():
-        with open(times_path, encoding="utf-8", newline="") as fh:
-            for row in list(csv.reader(fh))[1:]:
-                if len(row) == 2:
-                    created[row[0]] = row[1]
-    lock = threading.Lock()
-
-    def worker(title: str) -> None:
-        if (fixtures_dir / fixture_filename(title, ".wiki")).exists():
-            with lock:
-                report.skipped.append(title)
-            return
-        try:
-            status, created_at = _fetch_one(session, config, fixtures_dir, title)
-        except Exception as exc:
-            log.warning("fetch %s failed: %s", title, exc)
-            with lock:
-                report.errors.append(title)
-            return
-        with lock:
-            if status == "fetched":
-                report.fetched.append(title)
-                if created_at:
-                    created[title] = created_at
-            else:
-                report.not_found.append(title)
-        time.sleep(config.request_interval)
-
-    ordered = sorted(dict.fromkeys(titles))
-    if config.max_concurrency > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-            list(pool.map(worker, ordered))
-    else:
-        for title in ordered:
-            worker(title)
-    with open(times_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["title", "created_at"])
-        for title in sorted(created):
-            writer.writerow([title, created[title]])
-    report.fetched.sort()
-    report.skipped.sort()
-    report.not_found.sort()
-    report.errors.sort()
-    return report

@@ -25,7 +25,9 @@ HOUR_FILE_RE = re.compile(r"^pagecounts-(\d{8})-(\d{2})0000(?:\.gz)?$")
 
 MAX_REDIRECT_HOPS = 16
 
-DEFAULT_SHARDS = 16
+# save_store always writes this many shards; the manifest records the count
+# and load_store reads it from there.
+SHARDS = 16
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -41,46 +43,12 @@ TALLY_KEYS = (
 )
 
 
-class MalformedLine(ValueError):
-    """A log line that does not parse into project/title/count/bytes."""
-
-
 class OutOfCoverage(ValueError):
     """A queried day falls outside the store's coverage window."""
 
     def __init__(self, day: date, start: date, end: date):
         super().__init__(f"day {day} outside coverage [{start}, {end}]")
         self.day = day
-
-
-@dataclass(frozen=True)
-class RawLogLine:
-    project: str
-    title: str
-    count: int
-    bytes: int
-
-
-def parse_line(line: str | bytes) -> RawLogLine:
-    """Parse one log line; raises MalformedLine on any structural defect.
-
-    Exactly four single-space-separated fields; count and bytes must be plain
-    base-10 digits (no sign, no underscores); project and title non-empty.
-    """
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", "replace")
-    parts = line.split(" ")
-    if len(parts) != 4:
-        raise MalformedLine(f"expected 4 fields, got {len(parts)}")
-    project, title, count_s, bytes_s = parts
-    bytes_s = bytes_s.rstrip("\r\n")
-    if not (count_s.isascii() and count_s.isdigit()):
-        raise MalformedLine(f"bad count field {count_s!r}")
-    if not (bytes_s.isascii() and bytes_s.isdigit()):
-        raise MalformedLine(f"bad bytes field {bytes_s!r}")
-    if not project or not title:
-        raise MalformedLine("empty project or title field")
-    return RawLogLine(project, title, int(count_s), int(bytes_s))
 
 
 def clean_title(raw: str) -> str | None:
@@ -134,19 +102,6 @@ class FilterConfig:
         if project is None:
             raise ValueError(f"{path}: no project code found")
         return cls(project=project, namespace_prefixes=tuple(prefixes))
-
-
-def filter_entry(line: RawLogLine, config: FilterConfig) -> bool:
-    """True iff the entry survives the project and namespace filters.
-
-    Titles that clean to Discard are dropped here too; they can never be kept.
-    """
-    if line.project != config.project:
-        return False
-    cleaned = clean_title(line.title)
-    if cleaned is None:
-        return False
-    return not cleaned.startswith(config.namespace_prefixes)
 
 
 @dataclass
@@ -208,12 +163,6 @@ class FileTally:
 
 
 @dataclass
-class TrafficSeries:
-    title: str
-    counts: dict[date, int]  # keys strictly increasing
-
-
-@dataclass
 class TrafficStore:
     """Per-title daily view counts over a contiguous coverage window."""
 
@@ -223,13 +172,6 @@ class TrafficStore:
     tallies: dict[str, int]
     file_tallies: list[FileTally] = field(default_factory=list, compare=False)
     unreadable: list[str] = field(default_factory=list, compare=False)
-
-    def titles(self) -> list[str]:
-        return sorted(self.counts)
-
-    def series(self, title: str) -> TrafficSeries:
-        days = self.counts.get(title, {})
-        return TrafficSeries(title=title, counts=dict(sorted(days.items())))
 
     def daily_total(self, titles, day: date) -> int:
         if not (self.coverage_start <= day <= self.coverage_end):
@@ -266,9 +208,11 @@ def _ingest_file(
 ) -> tuple[dict[str, int], FileTally]:
     """Aggregate one hourly file into title -> count; tallies every line once.
 
-    Tally precedence: malformed, then project filter, then title Discard, then
-    namespace filter. The loop inlines parse_line's checks for throughput; the
-    semantics must stay identical.
+    A line is well formed when it has exactly four single-space-separated
+    fields, a non-empty project and title, and count and bytes made of plain
+    ASCII digits (no sign, no underscores). Tally precedence: malformed, then
+    project filter, then title Discard, then namespace filter (checked on the
+    cleaned title).
     """
     tally = FileTally(name=path.name)
     counts: dict[str, int] = {}
@@ -328,19 +272,27 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
 
     Unreadable files are recorded and skipped; the pipeline continues. A file
     that fails mid-read contributes nothing (its partial counts are discarded).
-    Order of input files does not affect the resulting counts.
+    Order of input files does not affect the resulting counts. Raises
+    ValueError on a non-hourly file name and on two files for the same hour
+    (such as a plain and a gzipped copy), which would count that hour twice.
     """
     paths = [Path(p) for p in files]
     if not paths:
         raise ValueError("no input files")
+    hours: dict[datetime, Path] = {}
+    for path in paths:
+        hour = file_hour(path)
+        if hour in hours:
+            raise ValueError(f"hour {hour:%Y-%m-%d %H}:00 supplied twice: {hours[hour]} and {path}")
+        hours[hour] = path
     flat = table.flattened()
     clean_cache: dict[str, str | None] = {}
     per_title: dict[str, dict[date, int]] = {}
     file_tallies: list[FileTally] = []
     unreadable: list[str] = []
     days_seen: list[date] = []
-    for path in paths:
-        day = file_hour(path).date()
+    for hour, path in hours.items():
+        day = hour.date()
         try:
             counts, tally = _ingest_file(path, config, clean_cache, flat)
         except (OSError, EOFError, UnicodeError) as exc:
@@ -356,7 +308,7 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
             else:
                 day_map[day] = day_map.get(day, 0) + c
     if not days_seen:
-        raise ValueError("no readable input files")
+        raise ValueError(f"no readable input files: {', '.join(unreadable)}")
     tallies = {
         "files_processed": len(file_tallies),
         "files_unreadable": len(unreadable),
@@ -410,15 +362,15 @@ def _shard_index(title: str, n_shards: int) -> int:
     return zlib.crc32(title.encode("utf-8")) % n_shards
 
 
-def save_store(store: TrafficStore, directory: str | Path, shards: int = DEFAULT_SHARDS) -> None:
+def save_store(store: TrafficStore, directory: str | Path) -> None:
     """Write sorted TSV shards plus a manifest; identical stores give identical bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for stale in directory.glob("shard-*.tsv"):
         stale.unlink()
-    buckets: list[list[tuple[str, date, int]]] = [[] for _ in range(shards)]
+    buckets: list[list[tuple[str, date, int]]] = [[] for _ in range(SHARDS)]
     for title, day_map in store.counts.items():
-        bucket = buckets[_shard_index(title, shards)]
+        bucket = buckets[_shard_index(title, SHARDS)]
         for day, count in day_map.items():
             bucket.append((title, day, count))
     for i, bucket in enumerate(buckets):
@@ -428,7 +380,7 @@ def save_store(store: TrafficStore, directory: str | Path, shards: int = DEFAULT
     manifest = [
         f"coverage_start={store.coverage_start.isoformat()}",
         f"coverage_end={store.coverage_end.isoformat()}",
-        f"shards={shards}",
+        f"shards={SHARDS}",
     ]
     manifest += [f"{key}={store.tallies.get(key, 0)}" for key in TALLY_KEYS]
     (directory / MANIFEST_NAME).write_text("\n".join(manifest) + "\n", encoding="utf-8")

@@ -7,12 +7,16 @@ calls back into the code under test.
 
 import json
 import re
+import tempfile
 import time
 import urllib.parse
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthgen
 from hoaxlens import cli, corpus, logstore
@@ -359,6 +363,75 @@ def test_ingest_reference(tmp_path):
         f"tallies {'match' if tallies_match else 'MISMATCH'}, "
         f"throughput {lps / 1000:.0f}k lines/s (soft target 200k)",
     )
+
+
+_PROPERTY_TERMINALS = ["Physics", "Main_Page", "Café"]
+_PROPERTY_SOURCES = ["Alias_0", "Alias_1", "Alias_2"]
+_PROPERTY_HEADS = ["Chain_0", "Chain_1"]
+_PROPERTY_PREFIXES = ("Talk:", "User:")
+# Repeated entries and branches weight the draws towards lines that reach the
+# later rules; without them few lines get past the malformed and project checks.
+_PROPERTY_PROJECTS = st.sampled_from(["en", "en", "en", "en", "fr", "en.m", ""])
+_PROPERTY_TITLES = st.one_of(
+    st.sampled_from(
+        ["Physics", "physics", "Main%20Page", "main_Page", "Caf%C3%A9", "Caf%25C3%25A9"]
+    ),
+    st.sampled_from(["Physics#History", "#History", "%23History", "A|B", "Brack[et", "A%7CB"]),
+    st.sampled_from(["Talk:Physics", "User:Someone", "Talk%3APhysics", "talk:Physics", "user:X"]),
+    st.sampled_from([*_PROPERTY_SOURCES, *_PROPERTY_HEADS, "alias_0", "chain_1"]),
+    st.text(alphabet="aZ_%7C#|[:", max_size=6),
+)
+_PROPERTY_DIGITS = st.integers(0, 10**6).map(str)
+_PROPERTY_NUMBERS = st.one_of(
+    _PROPERTY_DIGITS,
+    _PROPERTY_DIGITS,
+    _PROPERTY_DIGITS,
+    st.sampled_from(["x5", "-5", "1_0", "²", ""]),
+)
+# Project, title, then 1-3 of the three number fields: 3-5 fields a line.
+_PROPERTY_LINES = st.tuples(
+    _PROPERTY_PROJECTS,
+    _PROPERTY_TITLES,
+    st.sampled_from([3, 4, 4, 4, 4, 5]),
+    _PROPERTY_NUMBERS,
+    _PROPERTY_NUMBERS,
+    _PROPERTY_NUMBERS,
+).map(lambda parts: " ".join(parts[:2] + parts[3 : parts[2] + 1]))
+
+
+@st.composite
+def _property_case(draw):
+    """Log lines of 3-5 fields, plus acyclic redirects of at most two hops."""
+    redirects = draw(
+        st.dictionaries(
+            st.sampled_from(_PROPERTY_SOURCES), st.sampled_from(_PROPERTY_TERMINALS), min_size=1
+        )
+    )
+    redirects |= draw(
+        st.dictionaries(st.sampled_from(_PROPERTY_HEADS), st.sampled_from(sorted(redirects)))
+    )
+    return draw(st.lists(_PROPERTY_LINES, min_size=10, max_size=40)), redirects
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_property_case())
+def test_ingest_matches_reference_property(case):
+    lines, redirect_map = case
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path = Path(tmp) / "pagecounts-20070310-060000"
+        log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        config = FilterConfig(project="en", namespace_prefixes=_PROPERTY_PREFIXES)
+        store = ingest([log_path], RedirectTable(mapping=dict(redirect_map)), config)
+        ref_counts, ref_tallies = _reference_aggregate(
+            log_path, "en", _PROPERTY_PREFIXES, redirect_map
+        )
+    day = date(2007, 3, 10)
+    assert store.counts == {title: {day: count} for title, count in ref_counts.items()}
+    assert store.tallies["lines_total"] == ref_tallies["total"]
+    assert store.tallies["lines_kept"] == ref_tallies["kept"]
+    assert store.tallies["lines_dropped_filter"] == ref_tallies["filter"]
+    assert store.tallies["lines_dropped_title"] == ref_tallies["title"]
+    assert store.tallies["lines_malformed"] == ref_tallies["malformed"]
 
 
 # --- criterion: title cleaning golden table ----------------------------------

@@ -173,3 +173,4 @@ def test_bootstrap_resample_means_match_summary():
     lo, hi = np.percentile(means, [2.5, 97.5])
     assert summary.ci_low == float(lo)
     assert summary.ci_high == float(hi)
+    assert np.array_equal(summary.means, means)

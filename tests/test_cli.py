@@ -150,6 +150,35 @@ def test_missing_config_is_input_error(tmp_path):
     assert cli.main(["ingest", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides, logs, offender",
+    [
+        ({"notes.txt": "en Physics 5 10\n"}, "notes.txt", "notes.txt"),
+        ({"bad/pagecounts-20070310-000000.gz": "not gzip"}, "bad", "pagecounts-20070310-000000.gz"),
+        ({"redirects.tsv": "Old New\n"}, "logs", "redirects.tsv"),
+        ({"filter.conf": "# no project line\n"}, "logs", "filter.conf"),
+        ({"logs/pagecounts-20070310-000000.gz": ""}, "logs", "pagecounts-20070310-000000.gz"),
+    ],
+    ids=["non_hourly_file", "all_unreadable", "redirect_without_tab", "no_project", "hour_twice"],
+)
+def test_ingest_input_errors_exit_1(tmp_path, capsys, overrides, logs, offender):
+    inputs = {
+        "logs/pagecounts-20070310-000000": "en Physics 5 10\n",
+        "filter.conf": "en\nTalk:\n",
+        "redirects.tsv": "Old\tNew\n",
+        **overrides,
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    config = tmp_path / "config.json"
+    keys = {"filter_config": "filter.conf", "redirect_table": "redirects.tsv", "out": "out"}
+    config.write_text(json.dumps({"logs": logs, **keys}))
+    rc = cli.main(["ingest", "--config", str(config)])
+    assert rc == 1
+    assert offender in capsys.readouterr().err
+
+
 def test_report_before_attention_names_missing_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"out": "out"}))

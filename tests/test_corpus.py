@@ -1,6 +1,5 @@
-"""Hoax lists, creation lists, cohort construction, neighbor sets, live fetch."""
+"""Hoax lists, creation lists, cohort construction, neighbor sets."""
 
-import json
 from datetime import date, datetime, timezone
 
 import pytest
@@ -8,11 +7,9 @@ import pytest
 from hoaxlens.corpus import (
     ArticleMeta,
     EmptyCohort,
-    LiveConfig,
     MalformedRecord,
     NoNeighbors,
     build_cohort,
-    fetch_live,
     load_creation_list,
     load_hoaxes,
     neighbor_set,
@@ -176,73 +173,3 @@ def test_neighbor_set_empty_raises():
         neighbor_set(ArticleSource("T", "no links at all"))
     with pytest.raises(NoNeighbors):
         neighbor_set(ArticleSource("T", "only [[T]] itself"))
-
-
-class FakeResponse:
-    def __init__(self, payload, status=200):
-        self.payload = payload
-        self.status_code = status
-
-    def json(self):
-        return self.payload
-
-
-class FakeSession:
-    """Serves canned API payloads keyed by title; counts requests."""
-
-    def __init__(self, pages):
-        self.pages = pages
-        self.requests = 0
-
-    def get(self, url, params=None, timeout=None):
-        self.requests += 1
-        title = params["titles"]
-        if title == "Boom":
-            return FakeResponse({}, status=500)
-        page = self.pages.get(title)
-        if page is None:
-            return FakeResponse({"query": {"pages": [{"title": title, "missing": True}]}})
-        if params.get("rvdir") == "newer":
-            body = {"revisions": [{"timestamp": page["created"]}]}
-        else:
-            body = {
-                "revisions": [{"slots": {"main": {"content": page["markup"]}}}],
-                "extract": page.get("extract"),
-            }
-        return FakeResponse({"query": {"pages": [{"title": title, **body}]}})
-
-
-def _live_config():
-    return LiveConfig(max_concurrency=1, request_interval=0.0)
-
-
-def test_fetch_live_writes_fixtures(tmp_path):
-    session = FakeSession(
-        {
-            "Alpha": {
-                "markup": "'''Alpha''' [[Beta]]",
-                "extract": "Alpha Beta",
-                "created": "2006-03-10T08:00:00Z",
-            }
-        }
-    )
-    report = fetch_live(["Alpha", "Ghost", "Boom"], _live_config(), tmp_path, session=session)
-    assert report.fetched == ["Alpha"]
-    assert report.not_found == ["Ghost"]
-    assert report.errors == ["Boom"]
-    assert (tmp_path / "Alpha.wiki").read_text() == "'''Alpha''' [[Beta]]"
-    assert (tmp_path / "Alpha.txt").read_text() == "Alpha Beta"
-    rows = (tmp_path / "creation_times.csv").read_text().splitlines()
-    assert rows == ["title,created_at", "Alpha,2006-03-10T08:00:00Z"]
-
-
-def test_fetch_live_idempotent(tmp_path):
-    session = FakeSession(
-        {"Alpha": {"markup": "x", "extract": None, "created": "2006-03-10T08:00:00Z"}}
-    )
-    first = fetch_live(["Alpha"], _live_config(), tmp_path, session=session)
-    assert first.fetched == ["Alpha"]
-    requests_after_first = session.requests
-    second = fetch_live(["Alpha"], _live_config(), tmp_path, session=session)
-    assert second.skipped == ["Alpha"]
-    assert session.requests == requests_after_first

@@ -7,51 +7,15 @@ import pytest
 
 from hoaxlens.logstore import (
     FilterConfig,
-    MalformedLine,
     OutOfCoverage,
     RedirectTable,
     clean_title,
     file_hour,
-    filter_entry,
     ingest,
     load_store,
-    parse_line,
     save_store,
     window_totals,
 )
-
-
-def test_parse_line_basic():
-    line = parse_line("en Main_Page 42 1234")
-    assert line.project == "en"
-    assert line.title == "Main_Page"
-    assert line.count == 42
-    assert line.bytes == 1234
-
-
-def test_parse_line_accepts_bytes_and_newline():
-    line = parse_line(b"de Berlin 7 100\n")
-    assert (line.project, line.title, line.count) == ("de", "Berlin", 7)
-
-
-@pytest.mark.parametrize(
-    "raw",
-    [
-        "en OnlyThree 5",
-        "en Too many fields 5 10",
-        "en Title x5 10",
-        "en Title 5 x10",
-        "en Title -5 10",
-        "en Title 5 1_0",
-        "en  5 10",
-        " Title 5 10",
-        "",
-        "\n",
-    ],
-)
-def test_parse_line_rejects_malformed(raw):
-    with pytest.raises(MalformedLine):
-        parse_line(raw)
 
 
 def test_clean_title_rules():
@@ -80,17 +44,6 @@ def test_clean_title_idempotent_on_samples():
         once = clean_title(raw)
         if once is not None:
             assert clean_title(once) == once, raw
-
-
-def test_filter_entry_project_and_namespace():
-    config = FilterConfig(project="en", namespace_prefixes=("Talk:", "User:"))
-    keep = parse_line("en Physics 3 10")
-    assert filter_entry(keep, config)
-    assert not filter_entry(parse_line("de Berlin 7 100"), config)
-    assert not filter_entry(parse_line("en Talk:Physics 3 10"), config)
-    assert not filter_entry(parse_line("en User:Someone 3 10"), config)
-    # Namespace check applies to the cleaned title.
-    assert not filter_entry(parse_line("en Talk%3APhysics 3 10"), config)
 
 
 def test_filter_config_load(tmp_path):
@@ -180,6 +133,47 @@ def test_ingest_aggregates_and_tallies(tmp_path):
     assert store.tallies["lines_dropped_title"] == 1  # leading '#'
     assert store.tallies["lines_malformed"] == 1
     assert store.tallies["files_processed"] == 3
+
+
+@pytest.mark.parametrize(
+    "line, bucket",
+    [
+        ("en Main_Page 42 1234", "lines_kept"),
+        ("en OnlyThree 5", "lines_malformed"),
+        ("en Too many fields 5 10", "lines_malformed"),
+        ("en Title x5 10", "lines_malformed"),
+        ("en Title 5 x10", "lines_malformed"),
+        ("en Title -5 10", "lines_malformed"),
+        ("en Title 5 1_0", "lines_malformed"),
+        ("en  5 10", "lines_malformed"),
+        (" Title 5 10", "lines_malformed"),
+        ("", "lines_malformed"),
+        ("\n", "lines_malformed"),
+        ("de Berlin 7 100", "lines_dropped_filter"),
+        ("en Talk:Physics 3 10", "lines_dropped_filter"),
+        ("en User:Someone 3 10", "lines_dropped_filter"),
+        # The namespace check applies to the cleaned title.
+        ("en Talk%3APhysics 3 10", "lines_dropped_filter"),
+        ("en #frag 2 5", "lines_dropped_title"),
+    ],
+)
+def test_ingest_tallies_line(tmp_path, line, bucket):
+    d = date(2007, 3, 10)
+    config = FilterConfig(project="en", namespace_prefixes=("Talk:", "User:"))
+    store = ingest([_write_hour(tmp_path, d, 0, [line])], RedirectTable(), config)
+    for key in ("lines_kept", "lines_dropped_filter", "lines_dropped_title", "lines_malformed"):
+        assert store.tallies[key] == (store.tallies["lines_total"] if key == bucket else 0), key
+    assert store.counts == ({"Main_Page": {d: 42}} if bucket == "lines_kept" else {})
+
+
+def test_ingest_rejects_hour_supplied_twice(tmp_path):
+    d = date(2007, 3, 10)
+    plain = _write_hour(tmp_path, d, 0, ["en Physics 5 10"])
+    gz = _write_hour(tmp_path, d, 0, ["en Physics 5 10"], gz=True)
+    with pytest.raises(ValueError, match="supplied twice") as err:
+        ingest([plain, gz], RedirectTable(), CONFIG)
+    assert plain.name in str(err.value)
+    assert gz.name in str(err.value)
 
 
 def test_ingest_resolves_redirects(tmp_path):
