@@ -23,43 +23,44 @@ from hoaxlens import (
 for raw in ["Main%20Page", "Caf%C3%A9", "Article#Section", "#Only_a_fragment", "bad|pipe"]:
     print(f"clean_title({raw!r}) -> {clean_title(raw)!r}")
 
-scratch = Path(tempfile.mkdtemp(prefix="traffic_demo_"))
+with tempfile.TemporaryDirectory(prefix="traffic_demo_") as tmp:
+    scratch = Path(tmp)
 
-# A log line is four space-separated fields: project, title, count, bytes.
-# Two hours of one day, then one hour of the next. The second file is gzipped,
-# the way real dumps are shipped.
-hour_a = scratch / "pagecounts-20070310-010000"
-hour_a.write_text(
-    "en Physics 12 4000\n"
-    "en Chemistry 7 2100\n"
-    "en Physics_(disambiguation) 2 500\n"
-    "fr Physique 30 9000\n"          # wrong project, dropped by the filter
-    "en Talk:Physics 4 800\n"        # namespace prefix, dropped by the filter
-    "en broken line\n"               # three fields, tallied as malformed
-)
-hour_b = scratch / "pagecounts-20070310-020000.gz"
-with gzip.open(hour_b, "wt", encoding="utf-8") as fh:
-    fh.write("en Physics 5 1700\nen Natural_science 9 2600\n")
-hour_c = scratch / "pagecounts-20070311-000000"
-hour_c.write_text("en Physics 20 6800\nen Physics_(disambiguation) 1 250\n")
+    # A log line is four space-separated fields: project, title, count, bytes.
+    # Two hours of one day, then one hour of the next. The second file is gzipped,
+    # the way real dumps are shipped.
+    hour_a = scratch / "pagecounts-20070310-010000"
+    hour_a.write_text(
+        "en Physics 12 4000\n"
+        "en Chemistry 7 2100\n"
+        "en Physics_(disambiguation) 2 500\n"
+        "fr Physique 30 9000\n"          # wrong project, dropped by the filter
+        "en Talk:Physics 4 800\n"        # namespace prefix, dropped by the filter
+        "en broken line\n"               # three fields, tallied as malformed
+    )
+    hour_b = scratch / "pagecounts-20070310-020000.gz"
+    with gzip.open(hour_b, "wt", encoding="utf-8") as fh:
+        fh.write("en Physics 5 1700\nen Natural_science 9 2600\n")
+    hour_c = scratch / "pagecounts-20070311-000000"
+    hour_c.write_text("en Physics 20 6800\nen Physics_(disambiguation) 1 250\n")
 
-config = FilterConfig(project="en", namespace_prefixes=("Talk:", "User:"))
-# The disambiguation page redirects to the main article, so its counts fold in.
-table = RedirectTable(mapping={"Physics_(disambiguation)": "Physics"})
+    config = FilterConfig(project="en", namespace_prefixes=("Talk:", "User:"))
+    # The disambiguation page redirects to the main article, so its counts fold in.
+    table = RedirectTable(mapping={"Physics_(disambiguation)": "Physics"})
 
-store = ingest(sorted(scratch.glob("pagecounts-*")), table, config)
+    store = ingest(sorted(scratch.glob("pagecounts-*")), table, config)
 
-print(f"\ncoverage: {store.coverage_start} .. {store.coverage_end}")
-for key, value in store.tallies.items():
-    print(f"  {key}: {value}")
+    print(f"\ncoverage: {store.coverage_start} .. {store.coverage_end}")
+    for key, value in store.tallies.items():
+        print(f"  {key}: {value}")
 
-print("\ndaily totals after redirect folding:")
-for title, by_day in sorted(store.counts.items()):
-    for day, count in sorted(by_day.items()):
-        print(f"  {title:18s} {day} {count}")
+    print("\ndaily totals after redirect folding:")
+    for title, by_day in sorted(store.counts.items()):
+        for day, count in sorted(by_day.items()):
+            print(f"  {title:18s} {day} {count}")
 
-# The store round-trips through a sharded on-disk layout byte for byte.
-store_dir = scratch / "store"
-save_store(store, store_dir)
-reloaded = load_store(store_dir)
-print(f"\nsaved to {store_dir}, reload matches: {reloaded.counts == store.counts}")
+    # The store round-trips through a sharded on-disk layout byte for byte.
+    store_dir = scratch / "store"
+    save_store(store, store_dir)
+    reloaded = load_store(store_dir)
+    print(f"\nsaved to {store_dir}, reload matches: {reloaded.counts == store.counts}")

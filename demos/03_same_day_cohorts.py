@@ -25,10 +25,10 @@ Shore_life,2006-03-10T13:20:00Z,1,Estuary_ecology
 # Mudflat is a plain redirect row. Shore_life appears twice, once as a real
 # article and once as a redirect source, so it must collapse out entirely.
 
-path = Path(tempfile.mkdtemp(prefix="cohort_demo_")) / "creations.csv"
-path.write_text(creation_csv, encoding="utf-8")
-
-metas, redirects = load_creation_list(path)
+with tempfile.TemporaryDirectory(prefix="cohort_demo_") as tmp:
+    path = Path(tmp) / "creations.csv"
+    path.write_text(creation_csv, encoding="utf-8")
+    metas, redirects = load_creation_list(path)
 print(f"{len(metas)} creation records, {len(redirects.mapping)} redirect mappings")
 
 hoax = next(m for m in metas if m.title == "Suspect_page")

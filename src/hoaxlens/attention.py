@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Resample rows drawn at once by bootstrap_resample_means.
+BOOTSTRAP_CHUNK = 1024
+
+
 class ZeroMAD(ValueError):
     """Median absolute deviation is zero; the z-score is undefined."""
 
@@ -136,8 +140,14 @@ def bootstrap_resample_means(values, resamples: int = 10000, seed: int = 0) -> n
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    return arr[idx].mean(axis=1)
+    # Rows are drawn BOOTSTRAP_CHUNK at a time to bound memory. The generator
+    # gives the same values as one resamples x n draw, so the means match it.
+    means = []
+    for start in range(0, resamples, BOOTSTRAP_CHUNK):
+        rows = min(BOOTSTRAP_CHUNK, resamples - start)
+        idx = rng.integers(0, arr.size, size=(rows, arr.size))
+        means.append(arr[idx].mean(axis=1))
+    return np.concatenate(means)
 
 
 def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> BootstrapSummary:

@@ -68,6 +68,8 @@ class RunConfig:
             raise InputError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InputError(f"config {path} must be a JSON object, not {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         cfg = cls()
         base = path.parent
@@ -76,11 +78,18 @@ class RunConfig:
                 log.warning("config %s: ignoring unknown key %r", path, key)
                 continue
             if key in ("span", "resamples", "seed", "histogram_bins"):
-                setattr(cfg, key, int(value))
+                try:
+                    setattr(cfg, key, int(value))
+                except (TypeError, ValueError):
+                    raise InputError(
+                        f"config {path}: {key!r} must be an integer, not {value!r}"
+                    ) from None
             elif value is None:
                 setattr(cfg, key, None)
-            else:
+            elif isinstance(value, str):
                 setattr(cfg, key, str(base / value))
+            else:
+                raise InputError(f"config {path}: {key!r} must be a path string, not {value!r}")
         if cfg.span < 1:
             raise InputError("span must be >= 1")
         if cfg.resamples < 1:
@@ -110,11 +119,25 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, what: str) -> list[list[str]]:
+def _read_csv(path: Path, what: str, width: int) -> list[tuple[int, list[str]]]:
+    """(line number, row) for each non-blank row after the header; each row has width fields."""
     if not path.exists():
         raise InputError(f"missing {what}: {path} (run the earlier pipeline stage first)")
     with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.reader(fh))
+        reader = csv.reader(fh)
+        next(reader, None)
+        rows = [(reader.line_num, row) for row in reader if row]
+    for lineno, row in rows:
+        if len(row) != width:
+            raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+    return rows
+
+
+def _csv_float(path: Path, lineno: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -215,21 +238,20 @@ def cmd_cohort(cfg: RunConfig) -> int:
 
 def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dict[str, str]]:
     """Cohort membership and carried-over exclusions from the cohort stage."""
-    rows = _read_csv(out / COHORTS_CSV, "cohort table")
+    path = out / COHORTS_CSV
     creation: dict[str, date] = {}
     members: dict[str, list[str]] = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        hoax_title, day_s, member_title = row
-        creation[hoax_title] = date.fromisoformat(day_s)
+    for lineno, (hoax_title, day_s, member_title) in _read_csv(path, "cohort table", 3):
+        try:
+            creation[hoax_title] = date.fromisoformat(day_s)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad creation date {day_s!r}") from None
         members.setdefault(hoax_title, []).append(member_title)
     excluded: dict[str, str] = {}
     exc_path = out / COHORT_EXCLUSIONS_CSV
     if exc_path.exists():
-        for row in _read_csv(exc_path, "cohort exclusions")[1:]:
-            if row:
-                excluded[row[0]] = row[1]
+        for _, (title, reason) in _read_csv(exc_path, "cohort exclusions", 2):
+            excluded[title] = reason
     return creation, members, excluded
 
 
@@ -406,25 +428,24 @@ def cmd_attention(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     out = cfg.out_dir()
-    results = _read_csv(out / RESULTS_CSV, "attention results")
-    scores = _read_csv(out / COHORT_SCORES_CSV, "cohort scores")
+    results_path = out / RESULTS_CSV
+    scores_path = out / COHORT_SCORES_CSV
+    results = _read_csv(results_path, "attention results", len(RESULTS_HEADER))
+    scores = _read_csv(scores_path, "cohort scores", 3)
     summary_path = out / SUMMARY_JSON
     if not summary_path.exists():
         raise InputError(f"missing attention summary: {summary_path} (run attention first)")
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     member_scores: dict[str, list[float]] = {}
-    for row in scores[1:]:
-        if row:
-            member_scores.setdefault(row[0], []).append(float(row[2]))
+    for lineno, (hoax_title, _, dv) in scores:
+        member_scores.setdefault(hoax_title, []).append(_csv_float(scores_path, lineno, dv))
     plots = out / PLOTS_DIR
     plots.mkdir(parents=True, exist_ok=True)
     n_plots = 0
     d_values = []
-    for row in results[1:]:
-        if not row:
-            continue
-        hoax_title, dv, cohort_mean, _, d = row
-        d_values.append(float(d))
+    for lineno, (hoax_title, dv, cohort_mean, _, d) in results:
+        dv, cohort_mean, d = (_csv_float(results_path, lineno, v) for v in (dv, cohort_mean, d))
+        d_values.append(d)
         cohort = member_scores.get(hoax_title, [])
         if not cohort:
             continue
@@ -435,15 +456,15 @@ def cmd_report(cfg: RunConfig) -> int:
             title=f"Neighborhood traffic drop: {hoax_title}",
             x_label="cohort member delta V/V",
             vlines=[
-                (float(dv), "#d62728", f"article {float(dv):.3f}"),
-                (float(cohort_mean), "#2ca02c", f"cohort mean {float(cohort_mean):.3f}"),
+                (dv, "#d62728", f"article {dv:.3f}"),
+                (cohort_mean, "#2ca02c", f"cohort mean {cohort_mean:.3f}"),
             ],
         )
         safe = wikitext.fixture_filename(hoax_title, ".svg")
         (plots / f"cohort_{safe}").write_text(svg, encoding="utf-8")
         n_plots += 1
     if not d_values:
-        raise InputError(f"no rows in {out / RESULTS_CSV}; nothing to plot")
+        raise InputError(f"no rows in {results_path}; nothing to plot")
     edges, counts = svgplot.compute_histogram(d_values, bins=cfg.histogram_bins)
     band = tuple(summary["ci"]) if summary.get("ci") else None
     vlines = []

@@ -5,7 +5,9 @@ medians, a line-by-line reference aggregator, hand-counted feature values), not
 calls back into the code under test.
 """
 
+import gzip
 import json
+import os
 import re
 import tempfile
 import time
@@ -309,11 +311,14 @@ def _synth_log_lines(rng, n_lines, redirect_sources):
     return lines
 
 
+_REFERENCE_REDIRECTS = {f"Alias_{i}": f"Reference_page_{i:03d}" for i in range(20)}
+_REFERENCE_REDIRECTS["Chain_head"] = "Chain_mid"
+_REFERENCE_REDIRECTS["Chain_mid"] = "Reference_page_000"
+
+
 def test_ingest_reference(tmp_path):
     rng = np.random.default_rng(505)
-    redirect_map = {f"Alias_{i}": f"Reference_page_{i:03d}" for i in range(20)}
-    redirect_map["Chain_head"] = "Chain_mid"
-    redirect_map["Chain_mid"] = "Reference_page_000"
+    redirect_map = _REFERENCE_REDIRECTS
     lines = _synth_log_lines(rng, 10_000, sorted(redirect_map))
     log_path = tmp_path / "pagecounts-20070310-060000"
     log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -363,6 +368,59 @@ def test_ingest_reference(tmp_path):
         f"tallies {'match' if tallies_match else 'MISMATCH'}, "
         f"throughput {lps / 1000:.0f}k lines/s (soft target 200k)",
     )
+
+
+def test_ingest_many_files_matches_reference(tmp_path, monkeypatch):
+    """32 hourly files on two days, one gzipped, read by more workers than cores.
+
+    With four workers the files go out in batches of two consecutive hours.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 1)
+    rng = np.random.default_rng(606)
+    prefixes = ("Talk:", "User:", "Wikipedia:")
+    (tmp_path / "logs").mkdir()
+    (tmp_path / "plain").mkdir()
+    files = []
+    want: dict[str, dict[date, int]] = {}
+    want_tallies = dict.fromkeys(("total", "kept", "filter", "title", "malformed"), 0)
+    # Fifteen hours on the first day, so a batch of two would cross into the next.
+    hours = [(10, hour) for hour in range(15)] + [(11, hour) for hour in range(17)]
+    for i, (day, hour) in enumerate(hours):
+        body = "\n".join(_synth_log_lines(rng, 400, sorted(_REFERENCE_REDIRECTS))) + "\n"
+        name = f"pagecounts-200703{day}-{hour:02d}0000"
+        # The reference reads plain text only, so it gets a plain copy of the gzipped file.
+        plain = tmp_path / "plain" / name
+        plain.write_text(body, encoding="utf-8")
+        if i == 21:
+            path = tmp_path / "logs" / (name + ".gz")
+            with gzip.open(path, "wt", encoding="utf-8") as fh:
+                fh.write(body)
+        else:
+            path = tmp_path / "logs" / name
+            path.write_text(body, encoding="utf-8")
+        files.append(path)
+        counts, tallies = _reference_aggregate(plain, "en", prefixes, _REFERENCE_REDIRECTS)
+        d = date(2007, 3, day)
+        for title, count in counts.items():
+            day_map = want.setdefault(title, {})
+            day_map[d] = day_map.get(d, 0) + count
+        for key in want_tallies:
+            want_tallies[key] += tallies[key]
+
+    config = FilterConfig(project="en", namespace_prefixes=prefixes)
+    store = ingest(files, RedirectTable(mapping=dict(_REFERENCE_REDIRECTS)), config)
+    assert store.counts == want
+    assert store.tallies == {
+        "files_processed": 32,
+        "files_unreadable": 0,
+        "lines_total": want_tallies["total"],
+        "lines_kept": want_tallies["kept"],
+        "lines_dropped_filter": want_tallies["filter"],
+        "lines_dropped_title": want_tallies["title"],
+        "lines_malformed": want_tallies["malformed"],
+    }
+    assert [t.name for t in store.file_tallies] == [p.name for p in files]
 
 
 _PROPERTY_TERMINALS = ["Physics", "Main_Page", "Café"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hoaxlens.attention import (
+    BOOTSTRAP_CHUNK,
     AttentionScore,
     EmptyCohortScores,
     WrongWindowLength,
@@ -174,3 +175,14 @@ def test_bootstrap_resample_means_match_summary():
     assert summary.ci_low == float(lo)
     assert summary.ci_high == float(hi)
     assert np.array_equal(summary.means, means)
+
+
+@pytest.mark.parametrize("n", [1, 7, 400])
+@pytest.mark.parametrize("seed", [0, 1, 2**63])
+def test_bootstrap_chunked_draw_matches_one_shot(n, seed):
+    values = np.random.default_rng(n).normal(size=n)
+    resamples = 2 * BOOTSTRAP_CHUNK + 3
+    rng = np.random.default_rng(seed)
+    one_shot = values[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
+    means = bootstrap_resample_means(values, resamples=resamples, seed=seed)
+    assert means.tobytes() == one_shot.tobytes()

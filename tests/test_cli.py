@@ -224,6 +224,61 @@ def test_config_validation(tmp_path):
     assert cli.main(["ingest", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [('{"span": "abc"}', "'span'"), ("[1, 2]", "JSON object"), ('{"logs": 5}', "'logs'")],
+    ids=["span_not_integer", "not_an_object", "path_not_string"],
+)
+def test_config_bad_value_is_input_error(tmp_path, capsys, text, named):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli.main(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "command, name, row",
+    [
+        ("features", "cohorts.csv", "A,2007-03-10"),
+        ("features", "cohorts.csv", "A,2007-13-10,B"),
+        ("features", "cohort_exclusions.csv", "A"),
+        ("report", "results.csv", "A,0.5,0.1,1"),
+        ("report", "results.csv", "A,0.5,0.1,1,high"),
+        ("report", "cohort_scores.csv", "A,B"),
+    ],
+    ids=[
+        "cohort_two_fields",
+        "cohort_bad_date",
+        "exclusion_one_field",
+        "results_four_fields",
+        "results_not_a_number",
+        "scores_two_fields",
+    ],
+)
+def test_malformed_upstream_row_is_input_error(tmp_path, capsys, command, name, row):
+    out = tmp_path / "out"
+    out.mkdir()
+    upstream = {
+        "cohorts.csv": "hoax_title,creation_date,member_title\nA,2007-03-10,B\n",
+        "cohort_exclusions.csv": "hoax_title,reason\n",
+        "results.csv": "hoax_title,delta_v,cohort_mean,cohort_n,D\nA,0.5,0.1,1,0.4\n",
+        "cohort_scores.csv": "hoax_title,member_title,delta_v\nA,B,0.1\n",
+    }
+    for file_name, text in upstream.items():
+        if file_name == name:
+            text = text.splitlines()[0] + "\n" + row + "\n"
+        (out / file_name).write_text(text)
+    (out / "summary.json").write_text("{}")
+    (tmp_path / "hoaxes.csv").write_text("title,created_at\nA,2007-03-10T00:00:00Z\n")
+    (tmp_path / "fixtures").mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hoax_list": "hoaxes.csv", "fixtures": "fixtures", "out": "out"}))
+    assert cli.main([command, "--config", str(config)]) == 1
+    assert f"{name}:2:" in capsys.readouterr().err
+
+
 def test_config_paths_relative_to_config_file(tmp_path):
     nested = tmp_path / "deep" / "nest"
     nested.mkdir(parents=True)

@@ -13,7 +13,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # The demos write to mkdtemp() directories and never remove them.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run(
         [sys.executable, str(demo)],
@@ -24,3 +23,5 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # Whatever a demo writes goes into a temporary directory it removes.
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []

@@ -1,14 +1,19 @@
 """Traffic log parsing, cleaning, redirect resolution, store behavior."""
 
+import concurrent.futures
 import gzip
+import multiprocessing
+import os
 from datetime import date, datetime, timezone
 
 import pytest
 
+from hoaxlens import logstore
 from hoaxlens.logstore import (
     FilterConfig,
     OutOfCoverage,
     RedirectTable,
+    _ingest_workers,
     clean_title,
     file_hour,
     ingest,
@@ -213,6 +218,94 @@ def test_ingest_unreadable_file_continues(tmp_path):
     assert store.counts["Physics"] == {d: 3}
     assert store.unreadable == [bad.name]
     assert store.tallies["files_unreadable"] == 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Four CPUs and a worker for every byte; record each pool ingest starts by its size."""
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_ingest_corrupt_middle_file_in_parallel(tmp_path, pools):
+    d = date(2007, 3, 10)
+    first = _write_hour(tmp_path, d, 0, ["en Physics 3 100", "en Maths 1 10"])
+    # A gzip stream cut short: its first lines decode, then the read fails.
+    middle = tmp_path / "pagecounts-20070310-010000.gz"
+    body = "".join(f"en Page_{i} {i} 10\n" for i in range(20000)).encode()
+    compressed = gzip.compress(body)
+    middle.write_bytes(compressed[: len(compressed) // 2])
+    last = _write_hour(tmp_path, d, 2, ["en Physics 4 100"], gz=True)
+    store = ingest([first, middle, last], RedirectTable(), CONFIG)
+    assert pools == [3]
+    assert store.unreadable == [middle.name]
+    assert [t.name for t in store.file_tallies] == [first.name, last.name]
+    assert store.counts == {"Physics": {d: 7}, "Maths": {d: 1}}
+    assert store.tallies["files_processed"] == 2
+    assert store.tallies["lines_total"] == 3
+
+
+def test_ingest_sums_batches_of_one_day_in_parallel(tmp_path, pools, monkeypatch):
+    # Two workers and sixteen files of one day make batches of two consecutive hours.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    d = date(2007, 3, 10)
+    files = [
+        _write_hour(tmp_path, d, h, [f"en Page_{h % 3} {h + 1} 10", "en Shared 1 10"])
+        for h in range(16)
+    ]
+    files[5].unlink()
+    files[5] = tmp_path / "pagecounts-20070310-050000.gz"
+    files[5].write_bytes(gzip.compress(b"en Shared 100 10\n" * 5000)[:-8])
+    store = ingest(files, RedirectTable(), CONFIG)
+    assert pools == [2]
+    assert store.unreadable == [files[5].name]
+    assert [t.name for t in store.file_tallies] == [f.name for i, f in enumerate(files) if i != 5]
+    want = {f"Page_{k}": {d: sum(h + 1 for h in range(k, 16, 3) if h != 5)} for k in range(3)}
+    want["Shared"] = {d: 15}
+    assert store.counts == want
+
+
+def test_ingest_single_file_starts_no_pool(tmp_path, pools):
+    d = date(2007, 3, 10)
+    store = ingest([_write_hour(tmp_path, d, 0, ["en A 1 1"])], RedirectTable(), CONFIG)
+    assert pools == []
+    assert store.counts == {"A": {d: 1}}
+
+
+@pytest.mark.parametrize(
+    "cpus, n_files, file_bytes, methods, workers",
+    [
+        (4, 3, 100, ["fork", "spawn"], 3),
+        (2, 10, 100, ["fork", "spawn"], 2),
+        (4, 10, 25, ["fork", "spawn"], 2),
+        (8, 1, 1000, ["fork", "spawn"], 1),
+        (4, 10, 100, ["spawn"], 1),
+        (None, 10, 100, ["fork"], 3),
+    ],
+    ids=["files_bound", "cpus_bound", "bytes_bound", "one_file", "no_fork", "no_affinity"],
+)
+def test_ingest_workers_bounded(tmp_path, monkeypatch, cpus, n_files, file_bytes, methods, workers):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 100)
+    paths = []
+    for i in range(n_files):
+        paths.append(tmp_path / f"pagecounts-20070310-{i:02d}0000")
+        paths[-1].write_bytes(b"x" * file_bytes)
+    assert _ingest_workers(paths) == workers
 
 
 def test_ingest_no_files_raises():
