@@ -8,6 +8,7 @@ what survives cleaning, filtering, and redirect folding.
 
 import gzip
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 from hoaxlens import (
@@ -54,13 +55,23 @@ with tempfile.TemporaryDirectory(prefix="traffic_demo_") as tmp:
     for key, value in store.tallies.items():
         print(f"  {key}: {value}")
 
+    # The store keeps one (key, views) pair per title and day with traffic, in
+    # ascending key order; a key is the title's row times the days covered,
+    # plus the day's offset from the first day.
     print("\ndaily totals after redirect folding:")
-    for title, by_day in sorted(store.counts.items()):
-        for day, count in sorted(by_day.items()):
-            print(f"  {title:18s} {day} {count}")
+    for key, views in zip(store.keys.tolist(), store.views.tolist()):
+        row, offset = divmod(key, store.coverage_days)
+        day = store.coverage_start + timedelta(days=offset)
+        print(f"  {store.titles[row]:18s} {day} {views}")
 
-    # The store round-trips through a sharded on-disk layout byte for byte.
+    # On disk the store is the same layout: titles.txt, keys.npy and views.npy,
+    # plus a manifest. Saving what was loaded writes the same bytes again.
     store_dir = scratch / "store"
     save_store(store, store_dir)
-    reloaded = load_store(store_dir)
-    print(f"\nsaved to {store_dir}, reload matches: {reloaded.counts == store.counts}")
+    again_dir = scratch / "store_again"
+    save_store(load_store(store_dir), again_dir)
+    same = all(
+        (store_dir / name).read_bytes() == (again_dir / name).read_bytes()
+        for name in ("titles.txt", "keys.npy", "views.npy", "manifest.txt")
+    )
+    print(f"\nsaved to {store_dir}, reload saves the same bytes: {same}")

@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
 
@@ -78,22 +78,20 @@ class RunConfig:
                 log.warning("config %s: ignoring unknown key %r", path, key)
                 continue
             if key in ("span", "resamples", "seed", "histogram_bins"):
-                try:
-                    setattr(cfg, key, int(value))
-                except (TypeError, ValueError):
-                    raise InputError(
-                        f"config {path}: {key!r} must be an integer, not {value!r}"
-                    ) from None
+                # bool is a subclass of int; JSON true and 2.0 are not integers.
+                if type(value) is not int:
+                    raise InputError(f"config {path}: {key!r} must be an integer, not {value!r}")
+                if key == "seed" and not _seed_fits(value):
+                    raise InputError(f"config {path}: {SEED_RULE}, not {value}")
+                if key != "seed" and value < 1:
+                    raise InputError(f"config {path}: {key!r} must be >= 1, not {value}")
+                setattr(cfg, key, value)
             elif value is None:
                 setattr(cfg, key, None)
             elif isinstance(value, str):
                 setattr(cfg, key, str(base / value))
             else:
                 raise InputError(f"config {path}: {key!r} must be a path string, not {value!r}")
-        if cfg.span < 1:
-            raise InputError("span must be >= 1")
-        if cfg.resamples < 1:
-            raise InputError("resamples must be >= 1")
         return cfg
 
     def store_dir(self) -> Path:
@@ -184,17 +182,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
             "end": store.coverage_end.isoformat(),
         },
         "tallies": store.tallies,
-        "files": [
-            {
-                "name": t.name,
-                "lines_total": t.lines_total,
-                "lines_kept": t.lines_kept,
-                "lines_dropped_filter": t.lines_dropped_filter,
-                "lines_dropped_title": t.lines_dropped_title,
-                "lines_malformed": t.lines_malformed,
-            }
-            for t in store.file_tallies
-        ],
+        "files": [asdict(t) for t in store.file_tallies],
         "unreadable": store.unreadable,
     }
     _write_json(out / INGEST_REPORT, report)
@@ -319,7 +307,10 @@ def cmd_attention(cfg: RunConfig) -> int:
     store_dir = cfg.store_dir()
     if not (store_dir / logstore.MANIFEST_NAME).exists():
         raise InputError(f"missing traffic store: {store_dir} (run ingest first)")
-    store = logstore.load_store(store_dir)
+    try:
+        store = logstore.load_store(store_dir)
+    except (OSError, EOFError, ValueError) as exc:
+        raise InputError(f"unreadable traffic store {store_dir}: {exc}") from None
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     fixtures = _require(cfg.fixtures, "fixtures")
     out = cfg.out_dir()
@@ -494,10 +485,17 @@ COMMANDS = {
 }
 
 
+SEED_RULE = "seed must fit in an unsigned 64-bit integer"
+
+
+def _seed_fits(value: int) -> bool:
+    return 0 <= value < 2**64
+
+
 def _seed_type(text: str) -> int:
     value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    if not _seed_fits(value):
+        raise argparse.ArgumentTypeError(SEED_RULE)
     return value
 
 

@@ -8,6 +8,10 @@ in the file name (``pagecounts-YYYYMMDD-HH0000``, optionally gzipped).
 available to the process, at most one per file and one per MiB of input, and
 merges their counts in input order. There is no setting for the worker count:
 every output is the same whatever the number of workers.
+
+The store (``TrafficStore``) has one sparse layout in memory and on disk, where
+it is ``titles.txt`` (one title per line), ``keys.npy``, ``views.npy`` and a
+manifest of the coverage window and the ingest tallies.
 """
 
 from __future__ import annotations
@@ -16,25 +20,25 @@ import gzip
 import logging
 import os
 import re
-import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
 from urllib.parse import unquote
 
+import numpy as np
+
 log = logging.getLogger(__name__)
 
-# Characters MediaWiki forbids in titles; a title containing one is garbage in the logs.
-_ILLEGAL_RE = re.compile(r"[<>\[\]{}|]")
+# Characters MediaWiki forbids in titles, ASCII control characters included; a
+# title containing one is garbage in the logs. The store's one-title-per-line
+# titles.txt relies on titles having no newline.
+_ILLEGAL_RE = re.compile(r"[<>\[\]{}|\x00-\x1f\x7f]")
 
 HOUR_FILE_RE = re.compile(r"^pagecounts-(\d{8})-(\d{2})0000(?:\.gz)?$")
 
 MAX_REDIRECT_HOPS = 16
-
-# save_store always writes this many shards; the manifest records the count
-# and load_store reads it from there.
-SHARDS = 16
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -58,10 +62,6 @@ TALLY_KEYS = (
 class OutOfCoverage(ValueError):
     """A queried day falls outside the store's coverage window."""
 
-    def __init__(self, day: date, start: date, end: date):
-        super().__init__(f"day {day} outside coverage [{start}, {end}]")
-        self.day = day
-
 
 def clean_title(raw: str) -> str | None:
     """Normalize a raw title to canonical form; None means the entry is discarded.
@@ -69,7 +69,8 @@ def clean_title(raw: str) -> str | None:
     Percent-escapes are decoded to fixpoint (so cleaning is idempotent even for
     double-encoded input), spaces become underscores, a leading ``#`` discards
     the title, an interior ``#`` truncates the fragment, titles containing
-    ``< > [ ] { } |`` are discarded, and the first character is uppercased.
+    ``< > [ ] { } |`` or an ASCII control character (U+0000-U+001F, U+007F)
+    are discarded, and the first character is uppercased.
     """
     title = raw
     while "%" in title:
@@ -121,7 +122,6 @@ class RedirectTable:
     """Source -> target mapping over cleaned titles."""
 
     mapping: dict[str, str] = field(default_factory=dict)
-    max_hops: int = MAX_REDIRECT_HOPS
 
     @classmethod
     def load(cls, path: str | Path) -> "RedirectTable":
@@ -141,22 +141,20 @@ class RedirectTable:
     def resolve(self, title: str) -> str:
         """Follow redirects to the final target.
 
-        Cycles and chains longer than max_hops resolve to the input title and
-        are logged, so one bad row cannot stall or derail a run.
+        Cycles and chains longer than MAX_REDIRECT_HOPS resolve to the input
+        title and are logged, so one bad row cannot stall or derail a run.
         """
         current = title
         seen = {title}
-        hops = 0
         while (target := self.mapping.get(current)) is not None:
             if target in seen:
                 log.warning("redirect cycle at %r; keeping %r", current, title)
                 return title
-            if hops >= self.max_hops:
-                log.warning("redirect chain from %r exceeds %d hops; keeping it", title, self.max_hops)
+            if len(seen) > MAX_REDIRECT_HOPS:
+                log.warning("redirect chain from %r exceeds %d hops; keeping it", title, MAX_REDIRECT_HOPS)
                 return title
             seen.add(target)
             current = target
-            hops += 1
         return current
 
     def flattened(self) -> dict[str, str]:
@@ -174,27 +172,28 @@ class FileTally:
     lines_malformed: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class TrafficStore:
-    """Per-title daily view counts over a contiguous coverage window."""
+    """Daily views per title over a contiguous coverage window, sparse in days.
+
+    ``titles`` is sorted. ``keys`` holds ``row * coverage_days + day_offset``
+    for each (title, day) that the logs count, strictly ascending, where row
+    indexes ``titles`` and the offset counts days from ``coverage_start``;
+    ``views`` holds the matching counts. Both are one-dimensional int64 arrays.
+    """
 
     coverage_start: date
     coverage_end: date
-    counts: dict[str, dict[date, int]]
+    titles: list[str]
+    keys: np.ndarray
+    views: np.ndarray
     tallies: dict[str, int]
-    file_tallies: list[FileTally] = field(default_factory=list, compare=False)
-    unreadable: list[str] = field(default_factory=list, compare=False)
+    file_tallies: list[FileTally] = field(default_factory=list)
+    unreadable: list[str] = field(default_factory=list)
 
-    def daily_total(self, titles, day: date) -> int:
-        if not (self.coverage_start <= day <= self.coverage_end):
-            raise OutOfCoverage(day, self.coverage_start, self.coverage_end)
-        counts = self.counts
-        total = 0
-        for t in titles:
-            series = counts.get(t)
-            if series is not None:
-                total += series.get(day, 0)
-        return total
+    @property
+    def coverage_days(self) -> int:
+        return (self.coverage_end - self.coverage_start).days + 1
 
 
 def file_hour(path: str | Path) -> datetime:
@@ -226,7 +225,6 @@ def _ingest_file(
     project filter, then title Discard, then namespace filter (checked on the
     cleaned title).
     """
-    tally = FileTally(name=path.name)
     counts: dict[str, int] = {}
     project_code = config.project
     prefixes = config.namespace_prefixes
@@ -271,12 +269,7 @@ def _ingest_file(
             prev = counts_get(target)
             counts[target] = int(count_s) if prev is None else prev + int(count_s)
             kept += 1
-    tally.lines_total = total
-    tally.lines_kept = kept
-    tally.lines_dropped_filter = dropped_filter
-    tally.lines_dropped_title = dropped_title
-    tally.lines_malformed = malformed
-    return counts, tally
+    return counts, FileTally(path.name, total, kept, dropped_filter, dropped_title, malformed)
 
 
 def _read_batch(
@@ -397,7 +390,7 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
             batches[-1][1].append(path)
         else:
             batches.append((day, [path]))
-    per_title: dict[str, dict[date, int]] = {}
+    by_day: dict[date, dict[str, int]] = {}
     file_tallies: list[FileTally] = []
     unreadable: list[str] = []
     days_seen: list[date] = []
@@ -410,27 +403,35 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
             else:
                 file_tallies.append(outcome)
                 days_seen.append(day)
-        for title, c in counts.items():
-            day_map = per_title.get(title)
-            if day_map is None:
-                per_title[title] = {day: c}
-            else:
-                day_map[day] = day_map.get(day, 0) + c
+        day_counts = by_day.setdefault(day, counts)
+        if day_counts is not counts:
+            for title, c in counts.items():
+                prev = day_counts.get(title)
+                day_counts[title] = c if prev is None else prev + c
     if not days_seen:
         raise ValueError(f"no readable input files: {', '.join(unreadable)}")
-    tallies = {
-        "files_processed": len(file_tallies),
-        "files_unreadable": len(unreadable),
-        "lines_total": sum(t.lines_total for t in file_tallies),
-        "lines_kept": sum(t.lines_kept for t in file_tallies),
-        "lines_dropped_filter": sum(t.lines_dropped_filter for t in file_tallies),
-        "lines_dropped_title": sum(t.lines_dropped_title for t in file_tallies),
-        "lines_malformed": sum(t.lines_malformed for t in file_tallies),
-    }
+    tallies = {"files_processed": len(file_tallies), "files_unreadable": len(unreadable)}
+    for key in TALLY_KEYS[2:]:
+        tallies[key] = sum(getattr(t, key) for t in file_tallies)
+    # Python ints do not overflow; past this check no sum of views overflows int64.
+    if sum(sum(counts.values()) for counts in by_day.values()) > np.iinfo(np.int64).max:
+        raise ValueError("total views exceed the int64 range")
+    start, end = min(days_seen), max(days_seen)
+    days = (end - start).days + 1
+    titles = sorted(set().union(*by_day.values()))
+    first_key = {title: i * days for i, title in enumerate(titles)}
+    keys = np.fromiter(
+        (first_key[t] + (day - start).days for day, counts in by_day.items() for t in counts),
+        np.int64,
+    )
+    views = np.fromiter((c for counts in by_day.values() for c in counts.values()), np.int64)
+    order = np.argsort(keys)
     return TrafficStore(
-        coverage_start=min(days_seen),
-        coverage_end=max(days_seen),
-        counts=per_title,
+        coverage_start=start,
+        coverage_end=end,
+        titles=titles,
+        keys=keys[order],
+        views=views[order],
         tallies=tallies,
         file_tallies=file_tallies,
         unreadable=unreadable,
@@ -451,85 +452,78 @@ def window_totals(
     last = day0 + timedelta(days=span)
     if first < store.coverage_start or last > store.coverage_end:
         raise OutOfCoverage(
-            first if first < store.coverage_start else last,
-            store.coverage_start,
-            store.coverage_end,
+            f"window {first}..{last} outside coverage {store.coverage_start}..{store.coverage_end}"
         )
-    title_list = list(titles)
-    before = [
-        store.daily_total(title_list, day0 - timedelta(days=k))
-        for k in range(span, 0, -1)
-    ]
-    after = [
-        store.daily_total(title_list, day0 + timedelta(days=k))
-        for k in range(1, span + 1)
-    ]
-    return before, after
-
-
-def _shard_index(title: str, n_shards: int) -> int:
-    return zlib.crc32(title.encode("utf-8")) % n_shards
+    names = store.titles
+    rows = []
+    for title in titles:
+        i = bisect_left(names, title)
+        if i < len(names) and names[i] == title:
+            rows.append(i)
+    # One row of wanted keys per title, one column per day of the combined window.
+    wanted = np.arange(2 * span + 1) + (first - store.coverage_start).days
+    wanted = (np.array(rows, np.int64)[:, None] * store.coverage_days + wanted).ravel()
+    pos = np.searchsorted(store.keys, wanted)
+    found = pos < len(store.keys)
+    found[found] = store.keys[pos[found]] == wanted[found]
+    daily = np.zeros(len(wanted), np.int64)
+    daily[found] = store.views[pos[found]]
+    totals = daily.reshape(len(rows), 2 * span + 1).sum(axis=0).tolist()
+    return totals[:span], totals[span + 1 :]
 
 
 def save_store(store: TrafficStore, directory: str | Path) -> None:
-    """Write sorted TSV shards plus a manifest; identical stores give identical bytes."""
+    """Write titles.txt, keys.npy, views.npy and a manifest; identical stores give identical bytes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for stale in directory.glob("shard-*.tsv"):
-        stale.unlink()
-    buckets: list[list[tuple[str, date, int]]] = [[] for _ in range(SHARDS)]
-    for title, day_map in store.counts.items():
-        bucket = buckets[_shard_index(title, SHARDS)]
-        for day, count in day_map.items():
-            bucket.append((title, day, count))
-    for i, bucket in enumerate(buckets):
-        bucket.sort(key=lambda row: (row[0], row[1]))
-        lines = [f"{title}\t{day.isoformat()}\t{count}\n" for title, day, count in bucket]
-        (directory / f"shard-{i:04d}.tsv").write_text("".join(lines), encoding="utf-8")
+    titles = "".join(title + "\n" for title in store.titles)
+    (directory / "titles.txt").write_text(titles, encoding="utf-8")
+    np.save(directory / "keys.npy", store.keys, allow_pickle=False)
+    np.save(directory / "views.npy", store.views, allow_pickle=False)
     manifest = [
         f"coverage_start={store.coverage_start.isoformat()}",
         f"coverage_end={store.coverage_end.isoformat()}",
-        f"shards={SHARDS}",
     ]
     manifest += [f"{key}={store.tallies.get(key, 0)}" for key in TALLY_KEYS]
     (directory / MANIFEST_NAME).write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
 
 def load_store(directory: str | Path) -> TrafficStore:
-    """Inverse of save_store; per-file tallies are not persisted, aggregates are."""
+    """Inverse of save_store; per-file tallies are not persisted, aggregates are.
+
+    Raises ValueError, naming the file, when the files do not form a consistent store.
+    """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
     fields: dict[str, str] = {}
-    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
+    manifest = (directory / MANIFEST_NAME).read_text(encoding="utf-8")
+    for lineno, line in enumerate(manifest.splitlines(), 1):
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"{manifest_path}:{lineno}: expected key=value")
+            raise ValueError(f"{MANIFEST_NAME}:{lineno}: expected key=value")
         fields[key] = value
     try:
         start = date.fromisoformat(fields["coverage_start"])
         end = date.fromisoformat(fields["coverage_end"])
-        shards = int(fields["shards"])
     except KeyError as exc:
-        raise ValueError(f"{manifest_path}: missing field {exc}") from None
+        raise ValueError(f"{MANIFEST_NAME}: missing field {exc}") from None
+    if end < start:
+        raise ValueError(f"{MANIFEST_NAME}: coverage ends before it starts")
     tallies = {key: int(fields.get(key, 0)) for key in TALLY_KEYS}
-    counts: dict[str, dict[date, int]] = {}
-    for i in range(shards):
-        shard_path = directory / f"shard-{i:04d}.tsv"
-        with open(shard_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 3:
-                    raise ValueError(f"{shard_path}:{lineno}: expected 3 columns")
-                title, day_s, count_s = cols
-                counts.setdefault(title, {})[date.fromisoformat(day_s)] = int(count_s)
-    return TrafficStore(
-        coverage_start=start,
-        coverage_end=end,
-        counts=counts,
-        tallies=tallies,
-    )
+    titles = (directory / "titles.txt").read_text(encoding="utf-8").split("\n")
+    if titles.pop() != "":
+        raise ValueError("titles.txt: last line has no newline")
+    if any(a >= b for a, b in zip(titles, titles[1:])):
+        raise ValueError("titles.txt: titles are not sorted and unique")
+    keys = np.load(directory / "keys.npy", allow_pickle=False)
+    views = np.load(directory / "views.npy", allow_pickle=False)
+    if not (keys.dtype == views.dtype == np.int64 and keys.ndim == 1 and keys.shape == views.shape):
+        raise ValueError("keys.npy, views.npy: not two int64 arrays of one length")
+    store = TrafficStore(start, end, titles, keys, views, tallies)
+    bound = len(titles) * store.coverage_days
+    if len(keys) and not (keys[0] >= 0 and keys[-1] < bound and (keys[1:] > keys[:-1]).all()):
+        raise ValueError(f"keys.npy: keys not strictly ascending in [0, {bound})")
+    if (views < 0).any():
+        raise ValueError("views.npy: negative views")
+    return store

@@ -12,18 +12,28 @@ import re
 import tempfile
 import time
 import urllib.parse
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthgen
+from storeview import daily_counts
 from hoaxlens import cli, corpus, logstore
 from hoaxlens.attention import bootstrap_mean_ci, delta_v, modified_z
-from hoaxlens.logstore import FilterConfig, RedirectTable, clean_title, ingest
+from hoaxlens.logstore import (
+    FilterConfig,
+    OutOfCoverage,
+    RedirectTable,
+    clean_title,
+    ingest,
+    load_store,
+    save_store,
+    window_totals,
+)
 from hoaxlens.wikitext import ArticleSource, compute_features
 
 
@@ -332,7 +342,7 @@ def test_ingest_reference(tmp_path):
     )
     day = date(2007, 3, 10)
     want = {title: {day: count} for title, count in ref_counts.items()}
-    exact = store.counts == want
+    exact = daily_counts(store) == want
     tallies_match = (
         store.tallies["lines_total"] == ref_tallies["total"]
         and store.tallies["lines_kept"] == ref_tallies["kept"]
@@ -410,7 +420,7 @@ def test_ingest_many_files_matches_reference(tmp_path, monkeypatch):
 
     config = FilterConfig(project="en", namespace_prefixes=prefixes)
     store = ingest(files, RedirectTable(mapping=dict(_REFERENCE_REDIRECTS)), config)
-    assert store.counts == want
+    assert daily_counts(store) == want
     assert store.tallies == {
         "files_processed": 32,
         "files_unreadable": 0,
@@ -484,12 +494,76 @@ def test_ingest_matches_reference_property(case):
             log_path, "en", _PROPERTY_PREFIXES, redirect_map
         )
     day = date(2007, 3, 10)
-    assert store.counts == {title: {day: count} for title, count in ref_counts.items()}
+    assert daily_counts(store) == {title: {day: count} for title, count in ref_counts.items()}
     assert store.tallies["lines_total"] == ref_tallies["total"]
     assert store.tallies["lines_kept"] == ref_tallies["kept"]
     assert store.tallies["lines_dropped_filter"] == ref_tallies["filter"]
     assert store.tallies["lines_dropped_title"] == ref_tallies["title"]
     assert store.tallies["lines_malformed"] == ref_tallies["malformed"]
+
+
+# Well-formed lines over a few titles, so that titles recur across days. Some
+# titles store as non-ASCII text, among them a line separator (U+2028) and a
+# NEL (U+0085), which str.splitlines would take for line ends.
+_STORE_LINES = st.tuples(
+    st.sampled_from(
+        ["Physics", "Caf%C3%A9", "Z\u00fcrich", "A%E2%80%A8B", "N%C2%85L", "Alias_0", "Chain_1"]
+    ),
+    st.integers(0, 10**6),
+).map(lambda parts: f"en {parts[0]} {parts[1]} 1")
+
+
+@st.composite
+def _store_case(draw):
+    """Log lines for up to six of nine days, plus redirects as in _property_case."""
+    _, redirects = draw(_property_case())
+    lines = st.lists(st.one_of(_STORE_LINES, _PROPERTY_LINES), max_size=15)
+    offsets = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6, unique=True))
+    return {offset: draw(lines) for offset in offsets}, redirects
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_store_case(), span=st.integers(1, 3))
+@example(case=({0: ["fr Paris 1 1"], 2: []}, {"Alias_0": "Physics"}), span=1)
+def test_store_matches_reference_property(case, span):
+    """window_totals against brute-force sums of the reference aggregator's per-day
+    counts, and save -> load -> save writing the same bytes."""
+    lines_by_offset, redirect_map = case
+    first_day = date(2007, 3, 1)
+    want: dict[date, dict[str, int]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = []
+        for offset, lines in lines_by_offset.items():
+            day = first_day + timedelta(days=offset)
+            files.append(tmp / f"pagecounts-{day:%Y%m%d}-000000")
+            files[-1].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            want[day], _ = _reference_aggregate(files[-1], "en", _PROPERTY_PREFIXES, redirect_map)
+        config = FilterConfig(project="en", namespace_prefixes=_PROPERTY_PREFIXES)
+        store = ingest(files, RedirectTable(mapping=dict(redirect_map)), config)
+        save_store(store, tmp / "a")
+        save_store(load_store(tmp / "a"), tmp / "b")
+        names = sorted(p.name for p in (tmp / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp / "b").iterdir())
+        for name in names:
+            assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes(), name
+    assert (store.coverage_start, store.coverage_end) == (min(want), max(want))
+    titles = sorted(set().union(*want.values()))
+    title_sets = [[], titles, titles[::2], ["Not_in_the_logs", *titles[:1]]]
+    title_sets += [[title] for title in titles]
+    for k in range(store.coverage_days):
+        day0 = store.coverage_start + timedelta(days=k)
+        if not span <= k < store.coverage_days - span:
+            with pytest.raises(OutOfCoverage):
+                window_totals(store, titles, day0, span)
+            continue
+        for title_set in title_sets:
+            before, after = window_totals(store, title_set, day0, span)
+            brute = [
+                sum(want.get(day0 + timedelta(days=d), {}).get(t, 0) for t in title_set)
+                for d in [*range(-span, 0), *range(1, span + 1)]
+            ]
+            assert before + after == brute, (title_set, day0)
 
 
 # --- criterion: title cleaning golden table ----------------------------------

@@ -226,8 +226,26 @@ def test_config_validation(tmp_path):
 
 @pytest.mark.parametrize(
     "text, named",
-    [('{"span": "abc"}', "'span'"), ("[1, 2]", "JSON object"), ('{"logs": 5}', "'logs'")],
-    ids=["span_not_integer", "not_an_object", "path_not_string"],
+    [
+        ('{"span": "abc"}', "'span'"),
+        ('{"span": 2.5}', "'span'"),
+        ('{"resamples": true}', "'resamples'"),
+        ('{"seed": -1}', "unsigned 64-bit"),
+        ('{"seed": 18446744073709551616}', "unsigned 64-bit"),
+        ('{"histogram_bins": 0}', "'histogram_bins'"),
+        ("[1, 2]", "JSON object"),
+        ('{"logs": 5}', "'logs'"),
+    ],
+    ids=[
+        "span_not_integer",
+        "span_float",
+        "resamples_bool",
+        "seed_negative",
+        "seed_too_large",
+        "histogram_bins_zero",
+        "not_an_object",
+        "path_not_string",
+    ],
 )
 def test_config_bad_value_is_input_error(tmp_path, capsys, text, named):
     config = tmp_path / "config.json"
@@ -277,6 +295,43 @@ def test_malformed_upstream_row_is_input_error(tmp_path, capsys, command, name, 
     config.write_text(json.dumps({"hoax_list": "hoaxes.csv", "fixtures": "fixtures", "out": "out"}))
     assert cli.main([command, "--config", str(config)]) == 1
     assert f"{name}:2:" in capsys.readouterr().err
+
+
+def _edit(name, edit):
+    """Replace the bytes of store file name by edit(bytes)."""
+
+    def corrupt(store):
+        (store / name).write_bytes(edit((store / name).read_bytes()))
+
+    return corrupt
+
+
+def _old_tsv_layout(store):
+    """A store directory in the 16-shard TSV layout, which load_store does not read."""
+    for name in ("titles.txt", "keys.npy", "views.npy"):
+        (store / name).unlink()
+    with open(store / "manifest.txt", "a") as fh:
+        fh.write("shards=16\n")
+    (store / "shard-0000.tsv").write_text("Synth_hoax_00\t2007-03-10\t5\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _edit("keys.npy", lambda data: data[: len(data) // 2]),
+        _edit("keys.npy", lambda data: b""),
+        _edit("titles.txt", lambda data: data.partition(b"\n")[2]),
+        _edit("manifest.txt", lambda data: data.replace(b"coverage_start=", b"start=")),
+        _old_tsv_layout,
+    ],
+    ids=["keys_truncated", "keys_empty", "titles_line_missing", "no_coverage_start", "old_tsv_layout"],
+)
+def test_bad_store_is_input_error(run_dir, tmp_path, capsys, corrupt):
+    root = tmp_path / "copy"
+    shutil.copytree(run_dir, root)
+    corrupt(root / "out" / "store")
+    assert cli.main(["attention", "--config", str(root / "config.json")]) == 1
+    assert str(root / "out" / "store") in capsys.readouterr().err
 
 
 def test_config_paths_relative_to_config_file(tmp_path):

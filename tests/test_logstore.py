@@ -6,6 +6,7 @@ import multiprocessing
 import os
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 
 from hoaxlens import logstore
@@ -21,6 +22,7 @@ from hoaxlens.logstore import (
     save_store,
     window_totals,
 )
+from storeview import daily_counts
 
 
 def test_clean_title_rules():
@@ -81,6 +83,8 @@ def test_redirect_depth_cap():
     table = RedirectTable(mapping=chain)
     # Within the cap the chain resolves fully; past it the input comes back.
     assert table.resolve("N20") == "N30"
+    assert table.resolve("N14") == "N30"  # MAX_REDIRECT_HOPS hops
+    assert table.resolve("N13") == "N13"  # one hop more
     assert table.resolve("N0") == "N0"
 
 
@@ -130,8 +134,8 @@ def test_ingest_aggregates_and_tallies(tmp_path):
     store = ingest([f1, f2, f3], RedirectTable(), CONFIG)
     assert store.coverage_start == d
     assert store.coverage_end == date(2007, 3, 11)
-    assert store.counts["Physics"] == {d: 7, date(2007, 3, 11): 1}
-    assert store.counts["Maths"] == {d: 2}
+    assert daily_counts(store)["Physics"] == {d: 7, date(2007, 3, 11): 1}
+    assert daily_counts(store)["Maths"] == {d: 2}
     assert store.tallies["lines_total"] == 8
     assert store.tallies["lines_kept"] == 4
     assert store.tallies["lines_dropped_filter"] == 2  # fr project + Talk: namespace
@@ -160,6 +164,11 @@ def test_ingest_aggregates_and_tallies(tmp_path):
         # The namespace check applies to the cleaned title.
         ("en Talk%3APhysics 3 10", "lines_dropped_filter"),
         ("en #frag 2 5", "lines_dropped_title"),
+        # ASCII control characters: a tab or newline would corrupt the stored titles.
+        ("en Evil%092007-03-10%09999%0APhysics 1 1", "lines_dropped_title"),
+        ("en Foo%09Bar 5 10", "lines_dropped_title"),
+        ("en Bell%07 5 10", "lines_dropped_title"),
+        ("en Del%7F 5 10", "lines_dropped_title"),
     ],
 )
 def test_ingest_tallies_line(tmp_path, line, bucket):
@@ -168,7 +177,7 @@ def test_ingest_tallies_line(tmp_path, line, bucket):
     store = ingest([_write_hour(tmp_path, d, 0, [line])], RedirectTable(), config)
     for key in ("lines_kept", "lines_dropped_filter", "lines_dropped_title", "lines_malformed"):
         assert store.tallies[key] == (store.tallies["lines_total"] if key == bucket else 0), key
-    assert store.counts == ({"Main_Page": {d: 42}} if bucket == "lines_kept" else {})
+    assert daily_counts(store) == ({"Main_Page": {d: 42}} if bucket == "lines_kept" else {})
 
 
 def test_ingest_rejects_hour_supplied_twice(tmp_path):
@@ -181,12 +190,19 @@ def test_ingest_rejects_hour_supplied_twice(tmp_path):
     assert gz.name in str(err.value)
 
 
+def test_ingest_rejects_views_past_int64(tmp_path):
+    # Each count fits in int64, but a window over both titles would overflow.
+    lines = [f"en Big {2**63 - 1} 1", "en Other 1 1"]
+    with pytest.raises(ValueError, match="int64"):
+        ingest([_write_hour(tmp_path, date(2007, 3, 10), 0, lines)], RedirectTable(), CONFIG)
+
+
 def test_ingest_resolves_redirects(tmp_path):
     d = date(2007, 3, 10)
     f = _write_hour(tmp_path, d, 0, ["en Old_name 3 10", "en New_name 4 10"])
     table = RedirectTable(mapping={"Old_name": "New_name"})
     store = ingest([f], table, CONFIG)
-    assert store.counts == {"New_name": {d: 7}}
+    assert daily_counts(store) == {"New_name": {d: 7}}
 
 
 def test_ingest_order_independent(tmp_path):
@@ -197,14 +213,14 @@ def test_ingest_order_independent(tmp_path):
     ]
     a = ingest(files, RedirectTable(), CONFIG)
     b = ingest(list(reversed(files)), RedirectTable(), CONFIG)
-    assert a.counts == b.counts
+    assert daily_counts(a) == daily_counts(b)
     assert a.tallies == b.tallies
 
 
 def test_ingest_empty_file_no_errors(tmp_path):
     f = _write_hour(tmp_path, date(2007, 3, 10), 0, [])
     store = ingest([f], RedirectTable(), CONFIG)
-    assert store.counts == {}
+    assert daily_counts(store) == {}
     assert store.tallies["lines_total"] == 0
     assert store.tallies["lines_malformed"] == 0
 
@@ -215,7 +231,7 @@ def test_ingest_unreadable_file_continues(tmp_path):
     bad = tmp_path / "pagecounts-20070310-010000.gz"
     bad.write_bytes(b"this is not gzip data")
     store = ingest([good, bad], RedirectTable(), CONFIG)
-    assert store.counts["Physics"] == {d: 3}
+    assert daily_counts(store)["Physics"] == {d: 3}
     assert store.unreadable == [bad.name]
     assert store.tallies["files_unreadable"] == 1
 
@@ -249,7 +265,7 @@ def test_ingest_corrupt_middle_file_in_parallel(tmp_path, pools):
     assert pools == [3]
     assert store.unreadable == [middle.name]
     assert [t.name for t in store.file_tallies] == [first.name, last.name]
-    assert store.counts == {"Physics": {d: 7}, "Maths": {d: 1}}
+    assert daily_counts(store) == {"Physics": {d: 7}, "Maths": {d: 1}}
     assert store.tallies["files_processed"] == 2
     assert store.tallies["lines_total"] == 3
 
@@ -271,14 +287,14 @@ def test_ingest_sums_batches_of_one_day_in_parallel(tmp_path, pools, monkeypatch
     assert [t.name for t in store.file_tallies] == [f.name for i, f in enumerate(files) if i != 5]
     want = {f"Page_{k}": {d: sum(h + 1 for h in range(k, 16, 3) if h != 5)} for k in range(3)}
     want["Shared"] = {d: 15}
-    assert store.counts == want
+    assert daily_counts(store) == want
 
 
 def test_ingest_single_file_starts_no_pool(tmp_path, pools):
     d = date(2007, 3, 10)
     store = ingest([_write_hour(tmp_path, d, 0, ["en A 1 1"])], RedirectTable(), CONFIG)
     assert pools == []
-    assert store.counts == {"A": {d: 1}}
+    assert daily_counts(store) == {"A": {d: 1}}
 
 
 @pytest.mark.parametrize(
@@ -387,7 +403,7 @@ def test_store_round_trip_bytes_exact(tmp_path):
     dir_b = tmp_path / "store_b"
     save_store(store, dir_a)
     loaded = load_store(dir_a)
-    assert loaded.counts == store.counts
+    assert daily_counts(loaded) == daily_counts(store)
     assert loaded.tallies == store.tallies
     assert loaded.coverage_start == store.coverage_start
     save_store(loaded, dir_b)
@@ -396,3 +412,46 @@ def test_store_round_trip_bytes_exact(tmp_path):
     assert files_a == files_b
     for name in files_a:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("keys.npy", np.array([3, 0, 5], np.int64)),
+        ("keys.npy", np.array([0, 3, 6], np.int64)),
+        ("keys.npy", np.array([-1, 3, 5], np.int64)),
+        ("keys.npy", np.array([0, 3], np.int64)),
+        ("keys.npy", np.array([0.0, 3.0, 5.0])),
+        ("views.npy", np.array([3, -2, 4], np.int64)),
+        ("titles.txt", "B\nA\n"),
+        ("titles.txt", "A\nB"),
+        ("manifest.txt", "coverage_start=2007-03-12\ncoverage_end=2007-03-10\n"),
+    ],
+    ids=[
+        "keys_descending",
+        "key_past_last_day",
+        "key_negative",
+        "keys_shorter_than_views",
+        "keys_float",
+        "views_negative",
+        "titles_unsorted",
+        "titles_no_final_newline",
+        "coverage_reversed",
+    ],
+)
+def test_load_store_rejects_inconsistent_files(tmp_path, name, value):
+    d = date(2007, 3, 10)
+    files = [
+        _write_hour(tmp_path, d, 0, ["en A 3 1", "en B 1 1"]),
+        _write_hour(tmp_path, date(2007, 3, 12), 0, ["en B 4 1"]),
+    ]
+    store_dir = tmp_path / "store"
+    save_store(ingest(files, RedirectTable(), CONFIG), store_dir)
+    # Three days: A on the first (key 0), B on the first and third (keys 3 and 5).
+    assert load_store(store_dir).keys.tolist() == [0, 3, 5]
+    if isinstance(value, str):
+        (store_dir / name).write_text(value)
+    else:
+        np.save(store_dir / name, value)
+    with pytest.raises(ValueError, match=name):
+        load_store(store_dir)
