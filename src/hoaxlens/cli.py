@@ -163,10 +163,24 @@ def _load_hoaxes_unique(path: Path) -> list[corpus.ArticleMeta]:
     return [seen[t] for t in sorted(seen)]
 
 
+def _check_store_dir(directory: Path) -> None:
+    """Refuse a store directory holding anything save_store would not overwrite,
+    such as the shard files of an older layout, which would stay beside the new store."""
+    if not directory.is_dir():
+        return
+    others = sorted(p.name for p in directory.iterdir() if p.name not in logstore.STORE_FILES)
+    if others:
+        raise InputError(
+            f"store directory {str(directory)!r} holds {len(others)} entries that are not "
+            f"store files, such as {others[0]!r}; remove them or choose another store"
+        )
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     files = _log_files(_require(cfg.logs, "logs"))
     filter_path = _require(cfg.filter_config, "filter_config")
     redirect_path = _require(cfg.redirect_table, "redirect_table")
+    _check_store_dir(cfg.store_dir())
     try:
         filter_cfg = logstore.FilterConfig.load(filter_path)
         table = logstore.RedirectTable.load(redirect_path)
@@ -270,18 +284,19 @@ def cmd_features(cfg: RunConfig) -> int:
             [title, f.plain_length, f.plain_to_markup_ratio, f.wikilink_density, f.extlink_density]
         )
     _write_csv(out / FEATURES_CSV, FEATURES_HEADER, feature_rows)
+    values = {title: wikitext.feature_values(f) for title, f in computed.items()}
     hoax_titles = {h.title for h in hoaxes}
     z_rows: list[list] = []
     for hoax_title in sorted(members):
-        if hoax_title not in hoax_titles or hoax_title not in computed:
+        if hoax_title not in hoax_titles or hoax_title not in values:
             continue
-        hoax_values = wikitext.feature_values(computed[hoax_title])
-        cohort_features = [computed[m] for m in members[hoax_title] if m in computed]
+        hoax_values = values[hoax_title]
+        cohort_features = [values[m] for m in members[hoax_title] if m in values]
         if not cohort_features:
             exclusions.append([hoax_title, "no_cohort_features"])
             continue
         for name in wikitext.FEATURE_NAMES:
-            cohort_values = [wikitext.feature_values(f)[name] for f in cohort_features]
+            cohort_values = [member[name] for member in cohort_features]
             try:
                 score = attention.modified_z(hoax_values[name], cohort_values, feature=name)
             except attention.ZeroMAD:

@@ -188,7 +188,7 @@ def neighbor_set(article: ArticleSource, hoax_titles=frozenset()) -> set[str]:
     """Distinct outbound link targets, minus known hoaxes and the article itself."""
     neighbors = set(extract_wikilinks(article.markup))
     neighbors.discard(article.title)
-    neighbors -= set(hoax_titles)
+    neighbors.difference_update(hoax_titles)
     if not neighbors:
         raise NoNeighbors(article.title)
     return neighbors

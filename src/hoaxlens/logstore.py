@@ -41,6 +41,8 @@ HOUR_FILE_RE = re.compile(r"^pagecounts-(\d{8})-(\d{2})0000(?:\.gz)?$")
 MAX_REDIRECT_HOPS = 16
 
 MANIFEST_NAME = "manifest.txt"
+# Every file save_store writes; ingest refuses a store directory holding others.
+STORE_FILES = frozenset({"titles.txt", "keys.npy", "views.npy", MANIFEST_NAME})
 
 # Starting the worker pool costs the ingest stage about 50 ms and 1.7 MB of
 # memory (Python 3.11 on a 2-vCPU Xeon), which a worker earns back only with

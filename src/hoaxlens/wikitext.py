@@ -11,10 +11,13 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .logstore import clean_title
 
-# A word is a maximal run of alphanumerics; underscore is a separator, not a word char.
-WORD_RE = re.compile(r"[^\W_]+")
+# str.isalnum of each ASCII code point; index 128 stands for every wider one,
+# which count_words looks up separately.
+_ASCII_ALNUM = np.array([chr(c).isalnum() for c in range(128)] + [False])
 
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _COMMENT_OPEN_RE = re.compile(r"<!--[^\n]*")
@@ -25,7 +28,11 @@ _WIKILINK_RE = re.compile(r"\[\[([^\[\]|]*)(?:\|([^\[\]]*))?\]\]")
 _WIKILINK_OPEN_RE = re.compile(r"\[\[[^\n]*")
 _EXT_BRACKET_RE = re.compile(r"\[(?:https?|ftp)://[^ \]\n]*([^\]\n]*)\]", re.I)
 _EXT_BRACKET_OPEN_RE = re.compile(r"\[(?:https?|ftp)://[^\]\n]*", re.I)
-_BARE_URL_RE = re.compile(r"\b(?:https?|ftp)://[^\s\]]+", re.I)
+# Anchored on the literal "://" so the search skips ahead to each one instead of
+# trying a scheme at every character; the lookbehinds keep the \b before it.
+_BARE_URL_RE = re.compile(
+    r"://(?:(?<=\bhttp://)|(?<=\bhttps://)|(?<=\bftp://))[^\s\]]+", re.I
+)
 _HEADING_RE = re.compile(r"^={1,6}\s*(.*?)\s*=*\s*$", re.M)
 _HTML_TAG_RE = re.compile(r"</?[A-Za-z][^>\n]*>")
 _EXCESS_NEWLINES_RE = re.compile(r"\n{3,}")
@@ -128,7 +135,21 @@ def strip_markup(markup: str) -> str:
 
 
 def count_words(text: str) -> int:
-    return sum(1 for _ in WORD_RE.finditer(text))
+    r"""Number of words: maximal runs of characters for which ``str.isalnum()`` is true.
+
+    ``_``, punctuation and whitespace separate words, so this is the number of
+    ``[^\W_]+`` matches. It is counted over a code point array rather than by
+    iterating regex matches, because one match object per word made counting
+    the costliest step of feature extraction on multi-KB articles.
+    """
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    word = _ASCII_ALNUM[np.minimum(codes, 128)]
+    wide = codes >= 128
+    if wide.any():
+        distinct, inverse = np.unique(codes[wide], return_inverse=True)
+        alnum = np.array([chr(c).isalnum() for c in distinct.tolist()], dtype=bool)
+        word[wide] = alnum[inverse]
+    return int(np.count_nonzero(word[1:] > word[:-1])) + int(word[:1].any())
 
 
 def extract_wikilinks(markup: str) -> list[str]:

@@ -236,7 +236,7 @@ def _reference_clean(title):
         return None
     if "#" in title:
         title = title.split("#", 1)[0]
-    if any(c in title for c in "<>[]{}|"):
+    if any(c in title for c in "<>[]{}|") or any(ord(c) < 32 or ord(c) == 127 for c in title):
         return None
     if title == "":
         return None
@@ -445,6 +445,7 @@ _PROPERTY_TITLES = st.one_of(
         ["Physics", "physics", "Main%20Page", "main_Page", "Caf%C3%A9", "Caf%25C3%25A9"]
     ),
     st.sampled_from(["Physics#History", "#History", "%23History", "A|B", "Brack[et", "A%7CB"]),
+    st.sampled_from(["Foo%09Bar", "Nul%00", "%7FDel", "Tab%2509Twice", "Foo%0A"]),
     st.sampled_from(["Talk:Physics", "User:Someone", "Talk%3APhysics", "talk:Physics", "user:X"]),
     st.sampled_from([*_PROPERTY_SOURCES, *_PROPERTY_HEADS, "alias_0", "chain_1"]),
     st.text(alphabet="aZ_%7C#|[:", max_size=6),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import synthgen
-from hoaxlens import attention, cli, svgplot
+from hoaxlens import attention, cli, logstore, svgplot
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,38 @@ def test_bad_store_is_input_error(run_dir, tmp_path, capsys, corrupt):
     corrupt(root / "out" / "store")
     assert cli.main(["attention", "--config", str(root / "config.json")]) == 1
     assert str(root / "out" / "store") in capsys.readouterr().err
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("stale", ["shard-0000.tsv", "notes/keys.npy"])
+def test_ingest_refuses_store_dir_with_other_files(run_dir, tmp_path, capsys, monkeypatch, stale):
+    root = tmp_path / "copy"
+    shutil.copytree(run_dir, root)
+    store = root / "out" / "store"
+    (store / stale).parent.mkdir(exist_ok=True)
+    (store / stale).write_text("Synth_hoax_00\t2007-03-10\t5\n")
+    before = _tree_bytes(root)
+
+    def no_read(*args):
+        pytest.fail("ingest read the logs before checking the store directory")
+
+    monkeypatch.setattr(logstore, "ingest", no_read)
+    assert cli.main(["ingest", "--config", str(root / "config.json")]) == 1
+    err = capsys.readouterr().err
+    assert str(store) in err
+    assert stale.partition("/")[0] in err
+    assert _tree_bytes(root) == before
+
+
+def test_ingest_rerun_into_own_store_is_byte_identical(run_dir, tmp_path):
+    root = tmp_path / "copy"
+    shutil.copytree(run_dir, root)
+    before = _tree_bytes(root / "out" / "store")
+    assert cli.main(["ingest", "--config", str(root / "config.json")]) == 0
+    assert _tree_bytes(root / "out" / "store") == before
 
 
 def test_config_paths_relative_to_config_file(tmp_path):

@@ -1,8 +1,13 @@
 """Markup stripping, word counting, link extraction, feature computation."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoaxlens.wikitext import (
+    _EXT_BRACKET_RE,
     ArticleSource,
     EmptyArticle,
     compute_features,
@@ -83,6 +88,26 @@ def test_count_words_unicode():
     assert count_words("中文 words") == 2
 
 
+# The word rule as a regex: sre's \w on str is isalnum() or "_".
+_REFERENCE_WORD_RE = re.compile(r"[^\W_]+")
+
+
+# Cs draws lone surrogates, which only "surrogatepass" can encode.
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.characters(exclude_categories=())))
+@example(text="")
+@example(text="_")
+@example(text="a_b")
+@example(text="x\u0660y")  # ARABIC-INDIC DIGIT ZERO
+@example(text="\u01c5 \u2177 \u00b2\u00b3 \u00bd")  # titlecase, roman numeral, superscripts, fraction
+@example(text="a\u200db\u200d")  # ZERO WIDTH JOINER
+@example(text="\U0001d400\U0001d401 \U00010400x \U0001f600")  # astral letters, emoji
+@example(text="a\ud800b")
+@example(text="\udfff\U0010ffff\x00")
+def test_count_words_matches_regex(text):
+    assert count_words(text) == sum(1 for _ in _REFERENCE_WORD_RE.finditer(text))
+
+
 def test_extract_wikilinks_basic_and_order():
     markup = "See [[Beta]] then [[Gamma|the gamma]] then [[Beta]] again."
     assert extract_wikilinks(markup) == ["Beta", "Gamma", "Beta"]
@@ -125,6 +150,27 @@ def test_extract_external_links_counts():
 
 def test_extract_external_links_none():
     assert extract_external_links("no links here [[Beta]]") == 0
+
+
+_REFERENCE_BARE_URL_RE = re.compile(r"\b(?:https?|ftp)://[^\s\]]+", re.I)
+_URL_FRAGMENTS = st.sampled_from(
+    [
+        "http://", "HTTP://", "hTtPs://", "ftp://", "FtP://", "https://",
+        "xhttp://", "xhttps://", "sftp://", "?u=http://", "_http://",
+        "\u00e9http://", "\u03a9ftp://", "\u4e2dhttps://",
+        "[", "]", " ", "\n", "\t", "\u00a0",
+        "a", "b.c/", ":", "//", "://", "9", "\u00e9",
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(markup=st.lists(_URL_FRAGMENTS, max_size=16).map("".join))
+@example(markup="xhttp://a xhttps://b sftp://c ?u=http://d HTTP://e [ftp://f g]")
+def test_extract_external_links_matches_unanchored_scan(markup):
+    remainder, n_bracketed = _EXT_BRACKET_RE.subn(" ", markup)
+    expected = n_bracketed + sum(1 for _ in _REFERENCE_BARE_URL_RE.finditer(remainder))
+    assert extract_external_links(markup) == expected
 
 
 def test_compute_features_worked_example():
