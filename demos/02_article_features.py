@@ -37,7 +37,7 @@ print(f"ext links:    {extract_external_links(markup)}")
 
 # The four features: plain length, plain-to-markup word ratio, and link
 # densities per 100 markup words.
-features = compute_features(ArticleSource("Example_Person", markup))
+features = compute_features(ArticleSource("Example_Person", markup), extract_wikilinks(markup))
 print(f"\nplain_length          {features.plain_length}")
 print(f"plain_to_markup_ratio {features.plain_to_markup_ratio:.4f}")
 print(f"wikilink_density      {features.wikilink_density:.4f}")
@@ -45,6 +45,7 @@ print(f"extlink_density       {features.extlink_density:.4f}")
 
 # Concatenating an article with itself doubles the length but leaves the
 # ratio and densities untouched.
-doubled = compute_features(ArticleSource("Doubled", markup + "\n" + markup))
+twice = markup + "\n" + markup
+doubled = compute_features(ArticleSource("Doubled", twice), extract_wikilinks(twice))
 print(f"\ndoubled article: length {doubled.plain_length}, "
       f"ratio still {doubled.plain_to_markup_ratio:.4f}")

@@ -9,7 +9,7 @@ redirects collapsed and fellow suspects kept out.
 import tempfile
 from pathlib import Path
 
-from hoaxlens import ArticleSource, build_cohort, load_creation_list, neighbor_set
+from hoaxlens import build_cohort, extract_wikilinks, load_creation_list, neighbor_set
 
 creation_csv = """\
 title,created_at,is_redirect,redirect_target
@@ -42,9 +42,9 @@ print("(no Second_suspect, no Mudflat, no Shore_life)")
 
 # Neighbors are the distinct pages an article links to, minus itself and any
 # known suspects.
-source = ArticleSource(
-    "Suspect_page",
+links = extract_wikilinks(
     "A hoax about [[Harbor seal]]s near a [[Tidal flat]], see also "
-    "[[Suspect page]] and [[Second suspect]].",
+    "[[Suspect page]] and [[Second suspect]]."
 )
-print(f"\nneighbors: {sorted(neighbor_set(source, {'Suspect_page', 'Second_suspect'}))}")
+suspects = {"Suspect_page", "Second_suspect"}
+print(f"\nneighbors: {sorted(neighbor_set('Suspect_page', links, suspects))}")

@@ -28,6 +28,7 @@ COHORT_EXCLUSIONS_CSV = "cohort_exclusions.csv"
 FEATURES_CSV = "features.csv"
 ZSCORES_CSV = "zscores.csv"
 FEATURE_EXCLUSIONS_CSV = "feature_exclusions.csv"
+NEIGHBORS_CSV = "neighbors.csv"
 RESULTS_CSV = "results.csv"
 COHORT_SCORES_CSV = "cohort_scores.csv"
 ATTENTION_EXCLUSIONS_CSV = "attention_exclusions.csv"
@@ -37,6 +38,9 @@ BOOT_HISTOGRAM_CSV = "bootstrap_means_histogram.csv"
 PLOTS_DIR = "plots"
 
 FEATURES_HEADER = ["title", "plain_length", "ratio", "wikilink_density", "extlink_density"]
+NEIGHBORS_HEADER = ["title", "neighbors"]
+# Joins an article's neighbor titles in one field; clean_title discards any title with it.
+NEIGHBOR_SEP = "|"
 RESULTS_HEADER = ["hoax_title", "delta_v", "cohort_mean", "cohort_n", "D"]
 
 
@@ -117,18 +121,31 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, what: str, width: int) -> list[tuple[int, list[str]]]:
-    """(line number, row) for each non-blank row after the header; each row has width fields."""
+def _iter_csv(path: Path, what: str, width: int, stage: str = "the earlier pipeline stage"):
+    """(line number, row) for each non-blank row after the header, read as it is
+    yielded; each row has width fields."""
     if not path.exists():
-        raise InputError(f"missing {what}: {path} (run the earlier pipeline stage first)")
+        raise InputError(f"missing {what}: {path} (run {stage} first)")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        rows = [(reader.line_num, row) for row in reader if row]
-    for lineno, row in rows:
-        if len(row) != width:
-            raise InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-    return rows
+        try:
+            next(reader, None)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise InputError(
+                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _read_csv(path: Path, what: str, width: int) -> list[tuple[int, list[str]]]:
+    return list(_iter_csv(path, what, width))
 
 
 def _csv_float(path: Path, lineno: int, text: str) -> float:
@@ -212,7 +229,12 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_cohort(cfg: RunConfig) -> int:
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
-    metas, redirects = corpus.load_creation_list(_require(cfg.creation_lists, "creation_lists"))
+    try:
+        metas, redirects = corpus.load_creation_list(
+            _require(cfg.creation_lists, "creation_lists")
+        )
+    except ValueError as exc:  # a malformed row, or a directory holding no *.csv
+        raise InputError(str(exc)) from None
     hoax_titles = {h.title for h in hoaxes}
     by_day: dict[date, list[corpus.ArticleMeta]] = {}
     for meta in metas:
@@ -259,6 +281,7 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
 
 def cmd_features(cfg: RunConfig) -> int:
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
+    hoax_titles = {h.title for h in hoaxes}
     fixtures = _require(cfg.fixtures, "fixtures")
     out = cfg.out_dir()
     _, members, _ = _read_cohorts(out)
@@ -266,6 +289,7 @@ def cmd_features(cfg: RunConfig) -> int:
     for member_list in members.values():
         titles.update(member_list)
     computed: dict[str, wikitext.ArticleFeatures] = {}
+    neighbor_rows: list[list[str]] = []
     exclusions: list[list[str]] = []
     for title in sorted(titles):
         try:
@@ -273,8 +297,17 @@ def cmd_features(cfg: RunConfig) -> int:
         except FileNotFoundError:
             exclusions.append([title, "no_fixture"])
             continue
+        except ValueError as exc:  # not UTF-8
+            raise InputError(str(exc)) from None
+        # One parse serves both the link density here and the neighborhood attention scores.
+        links = wikitext.extract_wikilinks(source.markup)
         try:
-            computed[title] = wikitext.compute_features(source)
+            neighbors = sorted(corpus.neighbor_set(title, links, hoax_titles))
+        except corpus.NoNeighbors:
+            neighbors = []
+        neighbor_rows.append([title, NEIGHBOR_SEP.join(neighbors)])
+        try:
+            computed[title] = wikitext.compute_features(source, links)
         except wikitext.EmptyArticle:
             exclusions.append([title, "empty_article"])
     feature_rows = []
@@ -285,7 +318,6 @@ def cmd_features(cfg: RunConfig) -> int:
         )
     _write_csv(out / FEATURES_CSV, FEATURES_HEADER, feature_rows)
     values = {title: wikitext.feature_values(f) for title, f in computed.items()}
-    hoax_titles = {h.title for h in hoaxes}
     z_rows: list[list] = []
     for hoax_title in sorted(members):
         if hoax_title not in hoax_titles or hoax_title not in values:
@@ -311,11 +343,31 @@ def cmd_features(cfg: RunConfig) -> int:
         z_rows,
     )
     _write_csv(out / FEATURE_EXCLUSIONS_CSV, ["title", "reason"], exclusions)
+    _write_csv(out / NEIGHBORS_CSV, NEIGHBORS_HEADER, neighbor_rows)
     print(
         f"features for {len(computed)} articles, z-scores for "
         f"{len({r[0] for r in z_rows})} hoaxes, {len(exclusions)} articles excluded"
     )
     return 0
+
+
+def _read_neighbors(out: Path) -> dict[str, list[str]]:
+    """Each article's sorted neighbor titles from the features stage; [] when none is left.
+
+    The file is streamed and the titles interned, as the same few thousand
+    titles recur across hundreds of rows.
+    """
+    path = out / NEIGHBORS_CSV
+    neighbors: dict[str, list[str]] = {}
+    intern = sys.intern
+    for lineno, (title, field) in _iter_csv(path, "neighbor table", 2, stage="features"):
+        names = [intern(name) for name in field.split(NEIGHBOR_SEP)] if field else []
+        if not title or title in neighbors:
+            raise InputError(f"{path}:{lineno}: empty or repeated title {title!r}")
+        if not all(a < b for a, b in zip(names, names[1:])) or "" in names:
+            raise InputError(f"{path}:{lineno}: neighbors not sorted, distinct and non-empty")
+        neighbors[title] = names
+    return neighbors
 
 
 def cmd_attention(cfg: RunConfig) -> int:
@@ -327,10 +379,14 @@ def cmd_attention(cfg: RunConfig) -> int:
     except (OSError, EOFError, ValueError) as exc:
         raise InputError(f"unreadable traffic store {store_dir}: {exc}") from None
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
-    fixtures = _require(cfg.fixtures, "fixtures")
     out = cfg.out_dir()
     creation, members, cohort_excluded = _read_cohorts(out)
-    hoax_titles = frozenset(h.title for h in hoaxes)
+    neighbors = _read_neighbors(out)
+    no_fixture = {
+        title
+        for _, (title, reason) in _iter_csv(out / FEATURE_EXCLUSIONS_CSV, "feature exclusions", 2)
+        if reason == "no_fixture"
+    }
     span = cfg.span
 
     # Scores are per (title, day); hoaxes created the same day share member scores.
@@ -340,17 +396,22 @@ def cmd_attention(cfg: RunConfig) -> int:
         key = (title, day0)
         if key in score_cache:
             return score_cache[key]
-        try:
-            source = wikitext.load_article(fixtures, title)
-            neighbors = corpus.neighbor_set(source, hoax_titles)
-            before, after = logstore.window_totals(store, sorted(neighbors), day0, span)
-            result = attention.delta_v(before, after, span=span, title=title)
-        except FileNotFoundError:
+        titles = neighbors.get(title)
+        if titles is None:
+            if title not in no_fixture:
+                raise InputError(
+                    f"{out / NEIGHBORS_CSV} has no row for {title!r}, which the features stage "
+                    "did not exclude as no_fixture; rerun features"
+                )
             result = "no_fixture"
-        except corpus.NoNeighbors:
+        elif not titles:
             result = "no_neighbors"
-        except logstore.OutOfCoverage:
-            result = "out_of_coverage"
+        else:
+            try:
+                before, after = logstore.window_totals(store, titles, day0, span)
+                result = attention.delta_v(before, after, span=span, title=title)
+            except logstore.OutOfCoverage:
+                result = "out_of_coverage"
         score_cache[key] = result
         return result
 

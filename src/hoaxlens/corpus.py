@@ -7,13 +7,14 @@ day, with redirect sources collapsed away so each canonical page appears once.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .logstore import RedirectTable, clean_title
-from .wikitext import ArticleSource, extract_wikilinks
 
 log = logging.getLogger(__name__)
 
@@ -79,13 +80,22 @@ def _clean_or_raise(raw: str, path, lineno: int) -> str:
     return cleaned
 
 
+def _read_rows(path: Path) -> list[list[str]]:
+    """Every CSV row of a UTF-8 file; bytes that are not UTF-8 are a MalformedRecord."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(path, lineno, f"not valid UTF-8 ({exc.reason})") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 def load_hoaxes(path: str | Path) -> list[ArticleMeta]:
     """Hoax list CSV with header ``title,created_at``; empty file means no hoaxes."""
     path = Path(path)
     hoaxes: list[ArticleMeta] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = _read_rows(path)
     if not rows:
         return hoaxes
     if rows[0] != HOAX_HEADER:
@@ -102,8 +112,7 @@ def load_hoaxes(path: str | Path) -> list[ArticleMeta]:
 
 
 def _load_creation_file(path: Path, metas: list[ArticleMeta], redirects: dict[str, str]) -> None:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         return
     if rows[0] != CREATION_HEADER:
@@ -184,11 +193,12 @@ def build_cohort(
     )
 
 
-def neighbor_set(article: ArticleSource, hoax_titles=frozenset()) -> set[str]:
-    """Distinct outbound link targets, minus known hoaxes and the article itself."""
-    neighbors = set(extract_wikilinks(article.markup))
-    neighbors.discard(article.title)
+def neighbor_set(title: str, links: Iterable[str], hoax_titles=frozenset()) -> set[str]:
+    """Distinct link targets of the article title (``wikitext.extract_wikilinks``
+    of its markup), minus known hoaxes and the article itself."""
+    neighbors = set(links)
+    neighbors.discard(title)
     neighbors.difference_update(hoax_titles)
     if not neighbors:
-        raise NoNeighbors(article.title)
+        raise NoNeighbors(title)
     return neighbors

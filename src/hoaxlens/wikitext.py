@@ -177,8 +177,10 @@ def extract_external_links(markup: str) -> int:
     return n_bracketed + sum(1 for _ in _BARE_URL_RE.finditer(remainder))
 
 
-def compute_features(source: ArticleSource) -> ArticleFeatures:
-    """Appearance features for one article; raises EmptyArticle on zero markup words."""
+def compute_features(source: ArticleSource, links: list[str]) -> ArticleFeatures:
+    """Appearance features for one article whose markup has the wikilinks
+    ``links`` (``extract_wikilinks(source.markup)``); raises EmptyArticle on zero
+    markup words."""
     markup_words = count_words(source.markup)
     if markup_words == 0:
         raise EmptyArticle(source.title)
@@ -187,7 +189,7 @@ def compute_features(source: ArticleSource) -> ArticleFeatures:
     return ArticleFeatures(
         plain_length=plain_words,
         plain_to_markup_ratio=plain_words / markup_words,
-        wikilink_density=100.0 * len(extract_wikilinks(source.markup)) / markup_words,
+        wikilink_density=100.0 * len(links) / markup_words,
         extlink_density=100.0 * extract_external_links(source.markup) / markup_words,
     )
 
@@ -210,11 +212,20 @@ def fixture_filename(title: str, suffix: str) -> str:
     return title.replace("/", "%2F") + suffix
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def load_article(fixtures_dir: str | Path, title: str) -> ArticleSource:
-    """Read ``<title>.wiki`` (required) and ``<title>.txt`` (optional plain extract)."""
+    """Read ``<title>.wiki`` (required) and ``<title>.txt`` (optional plain extract).
+
+    A missing ``.wiki`` raises FileNotFoundError; a file that is not UTF-8, ValueError.
+    """
     fixtures_dir = Path(fixtures_dir)
-    wiki_path = fixtures_dir / fixture_filename(title, ".wiki")
-    markup = wiki_path.read_text(encoding="utf-8")
+    markup = _read_utf8(fixtures_dir / fixture_filename(title, ".wiki"))
     txt_path = fixtures_dir / fixture_filename(title, ".txt")
-    plain = txt_path.read_text(encoding="utf-8") if txt_path.exists() else None
+    plain = _read_utf8(txt_path) if txt_path.exists() else None
     return ArticleSource(title=title, markup=markup, plain=plain)

@@ -1,13 +1,17 @@
 """Pipeline commands: config handling, outputs, determinism, exit codes."""
 
+import csv
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthgen
-from hoaxlens import attention, cli, logstore, svgplot
+from hoaxlens import attention, cli, corpus, logstore, svgplot, wikitext
 
 
 @pytest.fixture(scope="module")
@@ -378,13 +382,253 @@ def test_config_paths_relative_to_config_file(tmp_path):
 
 
 def test_missing_fixture_becomes_exclusion(run_dir, tmp_path):
-    # Copy the corpus, delete one hoax fixture, re-run attention.
+    # Copy the corpus, delete one hoax fixture, re-run features and attention.
     root = tmp_path / "copy"
     shutil.copytree(run_dir, root)
     (root / "fixtures" / "Synth_hoax_00.wiki").unlink()
     config = root / "config.json"
+    assert cli.main(["features", "--config", str(config)]) == 0
     assert cli.main(["attention", "--config", str(config)]) == 0
     excl = (root / "out" / "attention_exclusions.csv").read_text().splitlines()
     assert "Synth_hoax_00,no_fixture" in excl
     rows = (root / "out" / "results.csv").read_text().splitlines()
     assert len(rows) == 1 + 3
+
+
+def _copy_run(run_dir, tmp_path):
+    root = tmp_path / "copy"
+    shutil.copytree(run_dir, root)
+    return root, root / "config.json"
+
+
+def test_features_rerun_is_byte_identical(run_dir, tmp_path):
+    root, config = _copy_run(run_dir, tmp_path)
+    assert cli.main(["features", "--config", str(config)]) == 0
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
+
+
+def test_attention_runs_without_fixtures(run_dir, tmp_path):
+    root, config = _copy_run(run_dir, tmp_path)
+    shutil.rmtree(root / "fixtures")
+    keys = json.loads(config.read_text())
+    del keys["fixtures"]
+    config.write_text(json.dumps(keys))
+    assert cli.main(["attention", "--config", str(config)]) == 0
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
+
+
+def _drop_row(title):
+    prefix = title.encode() + b","
+
+    def edit(data):
+        return b"".join(line for line in data.splitlines(True) if not line.startswith(prefix))
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (None, "run features first"),
+        (lambda data: data + b"A,B,C\n", ":18: expected 2 fields, got 3"),
+        (lambda data: data + b"A,Z|B\n", ":18: neighbors not sorted"),
+        (lambda data: data + b"A,B||C\n", ":18: neighbors not sorted"),
+        (lambda data: data + b"A,|B\n", ":18: neighbors not sorted"),
+        (lambda data: data + data.splitlines(True)[1], ":18: empty or repeated title"),
+        (lambda data: data + b"A,\xff\n", "not valid UTF-8"),
+        (_drop_row("Synth_hoax_00"), "no row for 'Synth_hoax_00'"),
+        (_drop_row("Cohort_d0_m01"), "no row for 'Cohort_d0_m01'"),
+    ],
+    ids=[
+        "missing",
+        "three_fields",
+        "unsorted",
+        "empty_name",
+        "empty_first_name",
+        "repeated_title",
+        "not_utf8",
+        "stale_hoax",
+        "stale_member",
+    ],
+)
+def test_bad_neighbor_table_is_input_error(run_dir, tmp_path, capsys, edit, named):
+    root, config = _copy_run(run_dir, tmp_path)
+    path = root / "out" / "neighbors.csv"
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_bytes(edit(path.read_bytes()))
+    assert cli.main(["attention", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert named in err
+
+
+def test_neighbor_table_holds_empty_articles(run_dir, tmp_path):
+    """Markup without words can still link: [[!]] is an empty_article for features
+    and is scored on the traffic of "!" by attention."""
+    root, config = _copy_run(run_dir, tmp_path)
+    (root / "fixtures" / "Synth_hoax_00.wiki").write_text("[[!]]", encoding="utf-8")
+    # Synth_hoax_00 is created on 2007-03-10: 5 views an hour before, 1 after.
+    for log in (root / "logs").iterdir():
+        day = log.name.split("-")[1]
+        if log.suffix != ".gz" and day != "20070310":
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"en ! {5 if day < '20070310' else 1} 1\n")
+    for command in ["ingest", "features", "attention"]:
+        assert cli.main([command, "--config", str(config)]) == 0
+    out = root / "out"
+    assert "Synth_hoax_00,empty_article" in (out / "feature_exclusions.csv").read_text()
+    assert "Synth_hoax_00,!\n" in (out / "neighbors.csv").read_text()
+    rows = {r.split(",")[0]: r.split(",") for r in (out / "results.csv").read_text().splitlines()}
+    _, dv, cohort_mean, _, d = rows["Synth_hoax_00"]
+    # Two hours a day: daily medians 10 before and 2 after.
+    assert float(dv) == (10 - 2) / (10 + 2)
+    assert float(d) == float(dv) - float(cohort_mean)
+
+
+@pytest.fixture(scope="module")
+def cohort_dir(tmp_path_factory):
+    """A small corpus with ingest and cohort run, and features not yet."""
+    root = tmp_path_factory.mktemp("cli-cohort")
+    config = synthgen.generate(
+        root,
+        elevated=False,
+        seed=3,
+        n_hoaxes=2,
+        hoaxes_per_day=2,
+        cohort_size=3,
+        neighbors=2,
+        daily_rate=40.0,
+        slots_per_day=1,
+        resamples=200,
+    )
+    for command in ["ingest", "cohort"]:
+        assert cli.main([command, "--config", str(config)]) == 0
+    return root
+
+
+def _write_bytes(name, data):
+    def mutate(root):
+        (root / name).write_bytes(data)
+
+    return mutate
+
+
+def _append_bytes(name, data):
+    def mutate(root):
+        with open(root / name, "ab") as fh:
+            fh.write(data)
+
+    return mutate
+
+
+def _empty_creation_dir(root):
+    (root / "lists").mkdir()
+    keys = json.loads((root / "config.json").read_text())
+    keys["creation_lists"] = "lists"
+    (root / "config.json").write_text(json.dumps(keys))
+
+
+@pytest.mark.parametrize(
+    "mutate, before, command, named",
+    [
+        (_write_bytes("fixtures/Synth_hoax_00.wiki", b"[[A]] \xff"), [], "features",
+         "Synth_hoax_00.wiki"),
+        (_write_bytes("fixtures/Synth_hoax_00.txt", b"\xff"), [], "features", "Synth_hoax_00.txt"),
+        (_write_bytes("fixtures/Synth_hoax_00.wiki", b"\xff"), ["features"], "attention",
+         "neighbors.csv"),
+        (_append_bytes("hoaxes.csv", b"Caf\xe9,2007-03-10T08:00:00Z\n"), [], "cohort",
+         "hoaxes.csv:4:"),
+        (_append_bytes("creations.csv", b"Caf\xe9,2007-03-10T08:00:00Z,0,\n"), [], "cohort",
+         "creations.csv:10:"),
+        (_empty_creation_dir, [], "cohort", "lists"),
+    ],
+    ids=[
+        "fixture_not_utf8",
+        "plain_extract_not_utf8",
+        "fixture_not_utf8_then_attention",
+        "hoaxes_not_utf8",
+        "creation_list_not_utf8",
+        "creation_dir_without_csv",
+    ],
+)
+def test_unreadable_input_is_input_error(
+    cohort_dir, tmp_path, capsys, mutate, before, command, named
+):
+    root = tmp_path / "copy"
+    shutil.copytree(cohort_dir, root)
+    mutate(root)
+    config = str(root / "config.json")
+    for earlier in before:
+        cli.main([earlier, "--config", config])
+    capsys.readouterr()
+    assert cli.main([command, "--config", config]) == 1
+    assert named in capsys.readouterr().err
+
+
+# Canonical titles, among them ones csv must quote and one fixture_filename encodes.
+_ARTICLES = ["Self_page", "Café", "AC/DC", "!", "Known_hoax", 'Q,"uote"', "Zürich"]
+_LINK_FORMS = ["[[{t}]]", "[[{s}]]", "[[{l}]]", "[[{t}|label]]", "[[{t}#Section]]", "[[ {s} ]]"]
+_MARKUP_PIECES = st.one_of(
+    st.builds(
+        lambda t, form: form.format(t=t, s=t.replace("_", " "), l=t[:1].lower() + t[1:]),
+        st.sampled_from(_ARTICLES),
+        st.sampled_from(_LINK_FORMS),
+    ),
+    st.sampled_from(
+        [
+            " ",
+            "Some words. ",
+            "[[]]",
+            "[[#Lead]]",
+            "[[Category:Café]]",
+            "[[File:AC/DC.png|thumb|x]]",
+            "[[Image:X.jpg]]",
+            "[[fr:Café]]",
+            "[[:Category:Self page]]",
+            "{{Infobox|[[Other_page]]}}",
+            "[[A|B]]",
+            "[[Bad<title]]",
+        ]
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    articles=st.dictionaries(
+        st.sampled_from(_ARTICLES), st.lists(_MARKUP_PIECES, max_size=8).map("".join), min_size=1
+    ),
+    hoaxes=st.sets(st.sampled_from(_ARTICLES)),
+)
+def test_neighbor_table_matches_neighbor_set(articles, hoaxes):
+    """What attention reads back from neighbors.csv is neighbor_set of the fixture."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "fixtures").mkdir()
+        (root / "out").mkdir()
+        for title, markup in articles.items():
+            path = root / "fixtures" / wikitext.fixture_filename(title, ".wiki")
+            path.write_text(markup, encoding="utf-8")
+        with open(root / "hoaxes.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["title", "created_at"])
+            writer.writerows([title, "2007-03-10T08:00:00Z"] for title in sorted(hoaxes))
+        with open(root / "out" / "cohorts.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["hoax_title", "creation_date", "member_title"])
+            writer.writerows(["No_fixture", "2007-03-10", title] for title in sorted(articles))
+        config = root / "config.json"
+        keys = {"hoax_list": "hoaxes.csv", "fixtures": "fixtures", "out": "out"}
+        config.write_text(json.dumps(keys))
+        assert cli.main(["features", "--config", str(config)]) == 0
+        got = cli._read_neighbors(root / "out")
+    want = {}
+    for title, markup in articles.items():
+        try:
+            links = wikitext.extract_wikilinks(markup)
+            want[title] = sorted(corpus.neighbor_set(title, links, hoaxes))
+        except corpus.NoNeighbors:
+            want[title] = []
+    assert got == want

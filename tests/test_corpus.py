@@ -15,7 +15,7 @@ from hoaxlens.corpus import (
     neighbor_set,
 )
 from hoaxlens.logstore import RedirectTable
-from hoaxlens.wikitext import ArticleSource
+from hoaxlens.wikitext import extract_wikilinks
 
 
 def _meta(title, day="2006-03-10", redirect=False, hoax=False):
@@ -161,15 +161,14 @@ def test_build_cohort_rejects_wrong_day():
 
 
 def test_neighbor_set():
-    source = ArticleSource(
-        "Self_page",
-        "Links to [[Beta]], [[Beta]] again, [[Self_page]] and [[Known_hoax]].",
+    links = extract_wikilinks(
+        "Links to [[Beta]], [[Beta]] again, [[Self_page]] and [[Known_hoax]]."
     )
-    assert neighbor_set(source, hoax_titles={"Known_hoax"}) == {"Beta"}
+    assert neighbor_set("Self_page", links, hoax_titles={"Known_hoax"}) == {"Beta"}
 
 
 def test_neighbor_set_empty_raises():
     with pytest.raises(NoNeighbors):
-        neighbor_set(ArticleSource("T", "no links at all"))
+        neighbor_set("T", extract_wikilinks("no links at all"))
     with pytest.raises(NoNeighbors):
-        neighbor_set(ArticleSource("T", "only [[T]] itself"))
+        neighbor_set("T", extract_wikilinks("only [[T]] itself"))

@@ -173,9 +173,13 @@ def test_extract_external_links_matches_unanchored_scan(markup):
     assert extract_external_links(markup) == expected
 
 
+def _features(source):
+    return compute_features(source, extract_wikilinks(source.markup))
+
+
 def test_compute_features_worked_example():
     source = ArticleSource("T", "'''Alpha''' links to [[Beta]] and [[Gamma|G]].")
-    f = compute_features(source)
+    f = _features(source)
     assert f.plain_length == 6
     assert f.plain_to_markup_ratio == pytest.approx(6 / 7)
     assert f.wikilink_density == pytest.approx(200 / 7)
@@ -184,21 +188,21 @@ def test_compute_features_worked_example():
 
 def test_compute_features_empty_raises():
     with pytest.raises(EmptyArticle):
-        compute_features(ArticleSource("T", "{{}} ''''''"))
+        _features(ArticleSource("T", "{{}} ''''''"))
     with pytest.raises(EmptyArticle):
-        compute_features(ArticleSource("T", ""))
+        _features(ArticleSource("T", ""))
 
 
 def test_compute_features_prefers_supplied_plain():
     source = ArticleSource("T", "'''Alpha''' is [[Beta]].", plain="Exactly two")
-    f = compute_features(source)
+    f = _features(source)
     assert f.plain_length == 2
 
 
 def test_features_doubling_invariance():
     markup = "'''Alpha''' sees [[Beta]] at [http://e.com spot] twice."
-    single = compute_features(ArticleSource("T", markup))
-    doubled = compute_features(ArticleSource("T", markup + "\n" + markup))
+    single = _features(ArticleSource("T", markup))
+    doubled = _features(ArticleSource("T", markup + "\n" + markup))
     assert doubled.plain_length == 2 * single.plain_length
     assert doubled.plain_to_markup_ratio == single.plain_to_markup_ratio
     assert doubled.wikilink_density == single.wikilink_density
