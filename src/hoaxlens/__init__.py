@@ -5,56 +5,42 @@ article markup into appearance features, build same-day creation cohorts, then
 compare each article's link-neighborhood traffic drop against its cohort.
 """
 
-from .attention import (
-    bootstrap_mean_ci,
-    cohort_d,
-    delta_v,
-    modified_z,
-)
-from .corpus import (
-    build_cohort,
-    load_creation_list,
-    neighbor_set,
-)
-from .logstore import (
-    FilterConfig,
-    RedirectTable,
-    clean_title,
-    ingest,
-    load_store,
-    save_store,
-    window_totals,
-)
-from .wikitext import (
-    ArticleSource,
-    compute_features,
-    count_words,
-    extract_external_links,
-    extract_wikilinks,
-    strip_markup,
-)
+from importlib import import_module
+
+# Each export and the module that defines it. The package imports a module on
+# first use of one of its names, so a stage pays only for what it runs.
+_EXPORTS = {
+    "bootstrap_mean_ci": "attention",
+    "cohort_d": "attention",
+    "delta_v": "attention",
+    "modified_z": "attention",
+    "build_cohort": "corpus",
+    "load_creation_list": "corpus",
+    "neighbor_set": "corpus",
+    "FilterConfig": "logstore",
+    "ingest": "logstore",
+    "load_store": "logstore",
+    "save_store": "logstore",
+    "window_totals": "logstore",
+    "RedirectTable": "titles",
+    "clean_title": "titles",
+    "ArticleSource": "wikitext",
+    "compute_features": "wikitext",
+    "count_words": "wikitext",
+    "extract_external_links": "wikitext",
+    "extract_wikilinks": "wikitext",
+    "strip_markup": "wikitext",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArticleSource",
-    "FilterConfig",
-    "RedirectTable",
-    "bootstrap_mean_ci",
-    "build_cohort",
-    "clean_title",
-    "cohort_d",
-    "compute_features",
-    "count_words",
-    "delta_v",
-    "extract_external_links",
-    "extract_wikilinks",
-    "ingest",
-    "load_creation_list",
-    "load_store",
-    "modified_z",
-    "neighbor_set",
-    "save_store",
-    "strip_markup",
-    "window_totals",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -11,15 +11,26 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields
 from datetime import date
+from importlib import import_module
 from pathlib import Path
 
-from . import attention, corpus, logstore, svgplot, wikitext
-
 log = logging.getLogger(__name__)
+
+# Each command imports the modules it runs, so that `cohort`, `report` and
+# `--help` start without numpy. The stage modules still resolve as attributes
+# of cli (cli.logstore), for code that wraps their functions from outside.
+_STAGE_MODULES = frozenset({"attention", "corpus", "logstore", "svgplot", "wikitext"})
+
+
+def __getattr__(name: str):
+    if name in _STAGE_MODULES:
+        return import_module(f".{name}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 STORE_DIR = "store"
 INGEST_REPORT = "ingest_report.json"
@@ -150,9 +161,12 @@ def _read_csv(path: Path, what: str, width: int) -> list[tuple[int, list[str]]]:
 
 def _csv_float(path: Path, lineno: int, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{lineno}: not a finite number: {text!r}")
+    return value
 
 
 def _write_json(path: Path, obj) -> None:
@@ -160,6 +174,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _log_files(path: Path) -> list[Path]:
+    from . import logstore
+
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if logstore.HOUR_FILE_RE.match(p.name))
     else:
@@ -170,7 +186,12 @@ def _log_files(path: Path) -> list[Path]:
 
 
 def _load_hoaxes_unique(path: Path) -> list[corpus.ArticleMeta]:
-    hoaxes = corpus.load_hoaxes(path)
+    from . import corpus
+
+    try:
+        hoaxes = corpus.load_hoaxes(path)
+    except corpus.MalformedRecord as exc:
+        raise InputError(str(exc)) from None
     seen: dict[str, corpus.ArticleMeta] = {}
     for hoax in hoaxes:
         if hoax.title in seen:
@@ -183,6 +204,8 @@ def _load_hoaxes_unique(path: Path) -> list[corpus.ArticleMeta]:
 def _check_store_dir(directory: Path) -> None:
     """Refuse a store directory holding anything save_store would not overwrite,
     such as the shard files of an older layout, which would stay beside the new store."""
+    from . import logstore
+
     if not directory.is_dir():
         return
     others = sorted(p.name for p in directory.iterdir() if p.name not in logstore.STORE_FILES)
@@ -194,6 +217,8 @@ def _check_store_dir(directory: Path) -> None:
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
+    from . import logstore
+
     files = _log_files(_require(cfg.logs, "logs"))
     filter_path = _require(cfg.filter_config, "filter_config")
     redirect_path = _require(cfg.redirect_table, "redirect_table")
@@ -228,6 +253,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_cohort(cfg: RunConfig) -> int:
+    from . import corpus
+
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     try:
         metas, redirects = corpus.load_creation_list(
@@ -280,6 +307,8 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
 
 
 def cmd_features(cfg: RunConfig) -> int:
+    from . import attention, corpus, wikitext
+
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     hoax_titles = {h.title for h in hoaxes}
     fixtures = _require(cfg.fixtures, "fixtures")
@@ -371,6 +400,8 @@ def _read_neighbors(out: Path) -> dict[str, list[str]]:
 
 
 def cmd_attention(cfg: RunConfig) -> int:
+    from . import attention, logstore, svgplot
+
     store_dir = cfg.store_dir()
     if not (store_dir / logstore.MANIFEST_NAME).exists():
         raise InputError(f"missing traffic store: {store_dir} (run ingest first)")
@@ -494,6 +525,8 @@ def cmd_attention(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    from . import svgplot, titles
+
     out = cfg.out_dir()
     results_path = out / RESULTS_CSV
     scores_path = out / COHORT_SCORES_CSV
@@ -503,6 +536,13 @@ def cmd_report(cfg: RunConfig) -> int:
     if not summary_path.exists():
         raise InputError(f"missing attention summary: {summary_path} (run attention first)")
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
+
+    def histogram(values, path: Path):
+        try:
+            return svgplot.compute_histogram(values, bins=cfg.histogram_bins)
+        except ValueError as exc:  # a span of values too wide to bin
+            raise InputError(f"{path}: {exc}") from None
+
     member_scores: dict[str, list[float]] = {}
     for lineno, (hoax_title, _, dv) in scores:
         member_scores.setdefault(hoax_title, []).append(_csv_float(scores_path, lineno, dv))
@@ -516,7 +556,7 @@ def cmd_report(cfg: RunConfig) -> int:
         cohort = member_scores.get(hoax_title, [])
         if not cohort:
             continue
-        edges, counts = svgplot.compute_histogram(cohort, bins=cfg.histogram_bins)
+        edges, counts = histogram(cohort, scores_path)
         svg = svgplot.render_histogram(
             edges,
             counts,
@@ -527,12 +567,12 @@ def cmd_report(cfg: RunConfig) -> int:
                 (cohort_mean, "#2ca02c", f"cohort mean {cohort_mean:.3f}"),
             ],
         )
-        safe = wikitext.fixture_filename(hoax_title, ".svg")
+        safe = titles.fixture_filename(hoax_title, ".svg")
         (plots / f"cohort_{safe}").write_text(svg, encoding="utf-8")
         n_plots += 1
     if not d_values:
         raise InputError(f"no rows in {results_path}; nothing to plot")
-    edges, counts = svgplot.compute_histogram(d_values, bins=cfg.histogram_bins)
+    edges, counts = histogram(d_values, results_path)
     band = tuple(summary["ci"]) if summary.get("ci") else None
     vlines = []
     if summary.get("sample_mean") is not None:
@@ -608,7 +648,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out = args.out
         return args.func(cfg)
-    except (InputError, corpus.MalformedRecord, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

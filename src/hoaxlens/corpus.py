@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .logstore import RedirectTable, clean_title
+from .titles import RedirectTable, clean_title
 
 log = logging.getLogger(__name__)
 

@@ -25,20 +25,14 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
-from urllib.parse import unquote
 
 import numpy as np
 
+from .titles import RedirectTable, clean_title
+
 log = logging.getLogger(__name__)
 
-# Characters MediaWiki forbids in titles, ASCII control characters included; a
-# title containing one is garbage in the logs. The store's one-title-per-line
-# titles.txt relies on titles having no newline.
-_ILLEGAL_RE = re.compile(r"[<>\[\]{}|\x00-\x1f\x7f]")
-
 HOUR_FILE_RE = re.compile(r"^pagecounts-(\d{8})-(\d{2})0000(?:\.gz)?$")
-
-MAX_REDIRECT_HOPS = 16
 
 MANIFEST_NAME = "manifest.txt"
 # Every file save_store writes; ingest refuses a store directory holding others.
@@ -65,35 +59,6 @@ class OutOfCoverage(ValueError):
     """A queried day falls outside the store's coverage window."""
 
 
-def clean_title(raw: str) -> str | None:
-    """Normalize a raw title to canonical form; None means the entry is discarded.
-
-    Percent-escapes are decoded to fixpoint (so cleaning is idempotent even for
-    double-encoded input), spaces become underscores, a leading ``#`` discards
-    the title, an interior ``#`` truncates the fragment, titles containing
-    ``< > [ ] { } |`` or an ASCII control character (U+0000-U+001F, U+007F)
-    are discarded, and the first character is uppercased.
-    """
-    title = raw
-    while "%" in title:
-        decoded = unquote(title)
-        if decoded == title:
-            break
-        title = decoded
-    title = title.replace(" ", "_")
-    if not title or title[0] == "#":
-        return None
-    pos = title.find("#")
-    if pos > 0:
-        title = title[:pos]
-    if _ILLEGAL_RE.search(title):
-        return None
-    first = title[0]
-    if not first.isupper():
-        title = first.upper() + title[1:]
-    return title
-
-
 @dataclass
 class FilterConfig:
     """Project code to keep plus namespace prefixes to drop (checked post-cleaning)."""
@@ -104,9 +69,15 @@ class FilterConfig:
     @classmethod
     def load(cls, path: str | Path) -> "FilterConfig":
         """First non-comment line is the project code, the rest are prefixes."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
         project = None
         prefixes: list[str] = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -117,51 +88,6 @@ class FilterConfig:
         if project is None:
             raise ValueError(f"{path}: no project code found")
         return cls(project=project, namespace_prefixes=tuple(prefixes))
-
-
-@dataclass
-class RedirectTable:
-    """Source -> target mapping over cleaned titles."""
-
-    mapping: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RedirectTable":
-        """Two-column TSV ``source<TAB>target``; blank lines skipped."""
-        mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 2 or not cols[0] or not cols[1]:
-                    raise ValueError(f"{path}:{lineno}: expected source<TAB>target")
-                mapping[cols[0]] = cols[1]
-        return cls(mapping=mapping)
-
-    def resolve(self, title: str) -> str:
-        """Follow redirects to the final target.
-
-        Cycles and chains longer than MAX_REDIRECT_HOPS resolve to the input
-        title and are logged, so one bad row cannot stall or derail a run.
-        """
-        current = title
-        seen = {title}
-        while (target := self.mapping.get(current)) is not None:
-            if target in seen:
-                log.warning("redirect cycle at %r; keeping %r", current, title)
-                return title
-            if len(seen) > MAX_REDIRECT_HOPS:
-                log.warning("redirect chain from %r exceeds %d hops; keeping it", title, MAX_REDIRECT_HOPS)
-                return title
-            seen.add(target)
-            current = target
-        return current
-
-    def flattened(self) -> dict[str, str]:
-        """Every source mapped directly to its final resolution."""
-        return {source: self.resolve(source) for source in self.mapping}
 
 
 @dataclass

@@ -6,7 +6,7 @@ rules out plotting libraries that embed versions, ids or font metrics.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 WIDTH = 640
 HEIGHT = 400
@@ -27,16 +27,47 @@ def _fmt_tick(value: float) -> str:
     return f"{value:.4g}"
 
 
-def compute_histogram(values, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Bin edges and counts; degenerate all-equal input gets a unit-wide bin."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+def compute_histogram(values, bins: int = 20) -> tuple[list[float], list[int]]:
+    """Bin edges and counts over [min, max]; all-equal input gets a unit-wide range.
+
+    The result equals ``np.histogram(values, bins, range=(min, max))``. The
+    edges are ``i * step + low``, the last one set to ``high``. Each value goes
+    to the bin its scaled offset truncates to, then moves one bin where that
+    leaves it on the wrong side of an edge; the last bin holds its right edge.
+    Raises ValueError for no values, a value that is not finite, or a range
+    that cannot hold that many finite, distinct edges.
+    """
+    data = list(map(float, values))
+    if not data:
         raise ValueError("no values to bin")
-    low, high = float(arr.min()), float(arr.max())
+    if not all(map(math.isfinite, data)):
+        raise ValueError("values to bin must be finite")
+    if bins < 1:
+        raise ValueError(f"bins must be positive, not {bins}")
+    low, high = min(data), max(data)
     if low == high:
         low -= 0.5
         high += 0.5
-    counts, edges = np.histogram(arr, bins=bins, range=(low, high))
+    span = high - low
+    step = span / bins
+    if step:
+        edges = [i * step + low for i in range(bins)]
+    else:  # a span too small to divide: scale first, as np.linspace does
+        edges = [i / bins * span + low for i in range(bins)]
+    edges.append(high)
+    if math.isinf(span) or any(left >= right for left, right in zip(edges, edges[1:])):
+        raise ValueError(f"cannot make {bins} finite bins over [{low}, {high}]")
+    counts = [0] * bins
+    last = bins - 1
+    for value in data:
+        i = int((value - low) / span * bins)
+        if i == bins:
+            i = last
+        if value < edges[i]:
+            i -= 1
+        elif i != last and value >= edges[i + 1]:
+            i += 1
+        counts[i] += 1
     return edges, counts
 
 

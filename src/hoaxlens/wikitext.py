@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .logstore import clean_title
+from .titles import clean_title, fixture_filename
 
 # str.isalnum of each ASCII code point; index 128 stands for every wider one,
 # which count_words looks up separately.
@@ -205,11 +205,6 @@ def feature_values(features: ArticleFeatures) -> dict[str, float]:
         "wikilink_density": features.wikilink_density,
         "extlink_density": features.extlink_density,
     }
-
-
-def fixture_filename(title: str, suffix: str) -> str:
-    """Canonical titles never contain '/', except via percent-decoding; encode it back."""
-    return title.replace("/", "%2F") + suffix
 
 
 def _read_utf8(path: Path) -> str:

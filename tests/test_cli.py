@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -127,9 +130,9 @@ def test_attention_rerun_is_byte_identical(run_dir, tmp_path):
         assert first[name] == second[name], name
 
 
-def test_seed_override_applied(run_dir):
-    config = run_dir / "config.json"
-    out = run_dir / "out"
+def test_seed_override_applied(run_dir, tmp_path):
+    root, config = _copy_run(run_dir, tmp_path)
+    out = root / "out"
     baseline = json.loads((out / "summary.json").read_text())
     assert cli.main(["attention", "--config", str(config), "--seed", "99"]) == 0
     changed = json.loads((out / "summary.json").read_text())
@@ -145,9 +148,7 @@ def test_seed_override_applied(run_dir):
     means = attention.bootstrap_resample_means(d_values, resamples=1000, seed=99)
     _, counts = svgplot.compute_histogram(means, bins=20)
     hist_rows = (out / "bootstrap_means_histogram.csv").read_text().splitlines()[1:]
-    assert [int(r.split(",")[2]) for r in hist_rows] == counts.tolist()
-    # Restore for any later test using the same module fixture.
-    assert cli.main(["attention", "--config", str(config)]) == 0
+    assert [int(r.split(",")[2]) for r in hist_rows] == list(counts)
 
 
 def test_missing_config_is_input_error(tmp_path):
@@ -269,6 +270,10 @@ def test_config_bad_value_is_input_error(tmp_path, capsys, text, named):
         ("report", "results.csv", "A,0.5,0.1,1"),
         ("report", "results.csv", "A,0.5,0.1,1,high"),
         ("report", "cohort_scores.csv", "A,B"),
+        ("report", "results.csv", "A,0.5,0.1,1,inf"),
+        ("report", "results.csv", "A,0.5,0.1,1,nan"),
+        ("report", "results.csv", "A,-inf,0.1,1,0.4"),
+        ("report", "cohort_scores.csv", "A,B,NaN"),
     ],
     ids=[
         "cohort_two_fields",
@@ -277,6 +282,10 @@ def test_config_bad_value_is_input_error(tmp_path, capsys, text, named):
         "results_four_fields",
         "results_not_a_number",
         "scores_two_fields",
+        "results_infinite_d",
+        "results_nan_d",
+        "results_infinite_delta_v",
+        "scores_nan",
     ],
 )
 def test_malformed_upstream_row_is_input_error(tmp_path, capsys, command, name, row):
@@ -299,6 +308,48 @@ def test_malformed_upstream_row_is_input_error(tmp_path, capsys, command, name, 
     config.write_text(json.dumps({"hoax_list": "hoaxes.csv", "fixtures": "fixtures", "out": "out"}))
     assert cli.main([command, "--config", str(config)]) == 1
     assert f"{name}:2:" in capsys.readouterr().err
+
+
+def test_report_span_too_wide_to_bin_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "results.csv").write_text(
+        "hoax_title,delta_v,cohort_mean,cohort_n,D\nA,0.5,0.1,1,1e308\nB,0.5,0.1,1,-1e308\n"
+    )
+    (out / "cohort_scores.csv").write_text("hoax_title,member_title,delta_v\nA,C,0.1\n")
+    (out / "summary.json").write_text("{}")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": "out"}))
+    assert cli.main(["report", "--config", str(config)]) == 1
+    assert "results.csv" in capsys.readouterr().err
+
+
+# Runs a command as `python -m hoaxlens.cli` does, then reports whether numpy was loaded.
+_NUMPY_PROBE = """
+import json, runpy, sys
+sys.argv = ["hoaxlens", *sys.argv[1:]]
+try:
+    runpy.run_module("hoaxlens.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("command", ["cohort", "report", "--help"])
+def test_stage_starts_without_numpy(run_dir, tmp_path, command):
+    """cohort, report and --help import only stdlib modules and numpy-free hoaxlens ones."""
+    _, config = _copy_run(run_dir, tmp_path)
+    argv = [command] if command == "--help" else [command, "--config", str(config)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "numpy": False}
 
 
 def _edit(name, edit):
@@ -543,6 +594,9 @@ def _empty_creation_dir(root):
         (_append_bytes("creations.csv", b"Caf\xe9,2007-03-10T08:00:00Z,0,\n"), [], "cohort",
          "creations.csv:10:"),
         (_empty_creation_dir, [], "cohort", "lists"),
+        (_write_bytes("filter.conf", b"en\n\xff\n"), [], "ingest", "filter.conf"),
+        (_write_bytes("redirects.tsv", b"A\tB\nCaf\xe9\tCafe\n"), [], "ingest",
+         "redirects.tsv:2:"),
     ],
     ids=[
         "fixture_not_utf8",
@@ -551,6 +605,8 @@ def _empty_creation_dir(root):
         "hoaxes_not_utf8",
         "creation_list_not_utf8",
         "creation_dir_without_csv",
+        "filter_config_not_utf8",
+        "redirect_table_not_utf8",
     ],
 )
 def test_unreadable_input_is_input_error(
