@@ -8,8 +8,10 @@ same-day cohort; a positive difference means attention preceded creation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Resample rows drawn at once by bootstrap_resample_means.
@@ -64,17 +66,27 @@ class BootstrapSummary:
     means: np.ndarray = field(compare=False, repr=False)
 
 
+def _median(values) -> float:
+    """Median with numpy's arithmetic: the middle value as a float, or the mean
+    of the two middle values, each converted to float before they are added."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
+
+
 def modified_z(x: float, cohort_values, feature: str = "") -> FeatureZScore:
     """Deviation of x from the cohort in MAD units: (x - median) / MAD.
 
     No consistency scaling is applied to the MAD. Raises ZeroMAD when more than
     half the cohort shares one value, ValueError on an empty cohort.
     """
-    values = np.asarray(list(cohort_values), dtype=float)
-    if values.size == 0:
+    values = [float(v) for v in cohort_values]
+    if not values:
         raise ValueError("empty cohort")
-    median = float(np.median(values))
-    mad = float(np.median(np.abs(values - median)))
+    median = _median(values)
+    mad = _median([abs(v - median) for v in values])
     if mad == 0.0:
         raise ZeroMAD(f"MAD is zero for feature {feature!r}")
     return FeatureZScore(
@@ -102,8 +114,8 @@ def delta_v(before, after, span: int = 7, title: str = "") -> AttentionScore | N
         raise WrongWindowLength(f"after window has {len(after)} days, expected {span}")
     if min(before) < 0 or min(after) < 0:
         raise ValueError("window totals must be non-negative")
-    v_before = float(np.median(before))
-    v_after = float(np.median(after))
+    v_before = _median(before)
+    v_after = _median(after)
     total = v_before + v_after
     if total == 0.0:
         return None
@@ -134,6 +146,8 @@ def cohort_d(
 
 def bootstrap_resample_means(values, resamples: int = 10000, seed: int = 0) -> np.ndarray:
     """Means of ``resamples`` with-replacement resamples, deterministically seeded."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("empty sample")
@@ -155,6 +169,8 @@ def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> Bootstra
 
     The resample means the interval comes from are returned as ``means``.
     """
+    import numpy as np
+
     values = list(values)
     means = bootstrap_resample_means(values, resamples=resamples, seed=seed)
     low, high = np.percentile(means, [2.5, 97.5])

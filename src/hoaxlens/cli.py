@@ -81,7 +81,7 @@ class RunConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise InputError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise InputError(f"config {path} must be a JSON object, not {type(raw).__name__}")
@@ -101,7 +101,7 @@ class RunConfig:
                 if key != "seed" and value < 1:
                     raise InputError(f"config {path}: {key!r} must be >= 1, not {value}")
                 setattr(cfg, key, value)
-            elif value is None:
+            elif value is None and key != "out":
                 setattr(cfg, key, None)
             elif isinstance(value, str):
                 setattr(cfg, key, str(base / value))
@@ -524,6 +524,31 @@ def cmd_attention(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_summary(path: Path) -> tuple[float | None, list[float] | None]:
+    """sample_mean and ci from the attention summary, a JSON object in which the
+    first is a finite number or null and the second two finite numbers or null.
+    A missing key reads as null."""
+    if not path.exists():
+        raise InputError(f"missing attention summary: {path} (run attention first)")
+    try:
+        # Integers as floats, so one beyond float range reads as inf and fails below.
+        summary = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: not a valid attention summary ({exc})") from None
+
+    def finite(value) -> bool:
+        return isinstance(value, float) and math.isfinite(value)
+
+    if not isinstance(summary, dict):
+        raise InputError(f"{path}: must be a JSON object, not {type(summary).__name__}")
+    mean, ci = summary.get("sample_mean"), summary.get("ci")
+    if mean is not None and not finite(mean):
+        raise InputError(f"{path}: sample_mean must be a finite number or null, not {mean!r}")
+    if ci is not None and not (isinstance(ci, list) and len(ci) == 2 and all(map(finite, ci))):
+        raise InputError(f"{path}: ci must be two finite numbers or null, not {ci!r}")
+    return mean, ci
+
+
 def cmd_report(cfg: RunConfig) -> int:
     from . import svgplot, titles
 
@@ -532,10 +557,7 @@ def cmd_report(cfg: RunConfig) -> int:
     scores_path = out / COHORT_SCORES_CSV
     results = _read_csv(results_path, "attention results", len(RESULTS_HEADER))
     scores = _read_csv(scores_path, "cohort scores", 3)
-    summary_path = out / SUMMARY_JSON
-    if not summary_path.exists():
-        raise InputError(f"missing attention summary: {summary_path} (run attention first)")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    mean, ci = _read_summary(out / SUMMARY_JSON)
 
     def histogram(values, path: Path):
         try:
@@ -573,19 +595,14 @@ def cmd_report(cfg: RunConfig) -> int:
     if not d_values:
         raise InputError(f"no rows in {results_path}; nothing to plot")
     edges, counts = histogram(d_values, results_path)
-    band = tuple(summary["ci"]) if summary.get("ci") else None
-    vlines = []
-    if summary.get("sample_mean") is not None:
-        vlines.append(
-            (summary["sample_mean"], "#d62728", f"mean D {summary['sample_mean']:.3f}")
-        )
+    vlines = [] if mean is None else [(mean, "#d62728", f"mean D {mean:.3f}")]
     svg = svgplot.render_histogram(
         edges,
         counts,
         title="Attention precedence across hoaxes",
         x_label="D (article drop minus cohort mean drop)",
         vlines=vlines,
-        band=band,
+        band=None if ci is None else tuple(ci),
     )
     (plots / "d_histogram.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {n_plots} cohort plots and 1 summary plot to {plots}")

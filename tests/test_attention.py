@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoaxlens.attention import (
     BOOTSTRAP_CHUNK,
@@ -57,6 +59,70 @@ def test_modified_z_translation_invariance():
         base = modified_z(x, values)
         moved = modified_z(x + shift, values + shift)
         assert moved.z == pytest.approx(base.z, abs=1e-12)
+
+
+def _same_float(got: float, want: float) -> bool:
+    """Equal to the bit, except that 0.0 and -0.0 are one value."""
+    return got == want == 0.0 or float.hex(got) == float.hex(want)
+
+
+_EXTREME_FLOATS = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    values=st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EXTREME_FLOATS),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@example(x=0.0, values=[1.0, 2.0, 4.0])
+@example(x=0.0, values=[1.0, 2.0, 4.0, 8.0])
+@example(x=1.0, values=[1e308, 1e308, -1e308, 5e-324])  # the middle pair overflows
+@example(x=0.0, values=[5e-324, 1.5e-323, 0.0, 2.5e-323])  # subnormals
+def test_modified_z_matches_numpy_median(x, values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = np.asarray(values, dtype=float)
+        median = float(np.median(arr))
+        mad = float(np.median(np.abs(arr - median)))
+    if mad == 0.0:
+        with pytest.raises(ZeroMAD):
+            modified_z(x, values)
+        return
+    score = modified_z(x, values)
+    assert _same_float(score.cohort_median, median)
+    assert _same_float(score.cohort_mad, mad)
+    assert _same_float(score.z, (x - median) / mad)
+
+
+@st.composite
+def _windows(draw):
+    """Before and after windows of one span, both of integers or both of floats."""
+    span = draw(st.integers(1, 8))
+    day = draw(st.sampled_from([st.integers(0, 2**63 - 1), st.floats(0.0, 1e308)]))
+    window = st.lists(day, min_size=span, max_size=span)
+    return draw(window), draw(window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows=_windows())
+@example(windows=([3, 1, 2], [0, 5, 5]))
+# Even spans whose middle pair sums to a different float as integers than as floats.
+@example(windows=([2**53 + 1, 2**53 + 5], [0, 0]))
+@example(windows=([2**63 - 1, 2**63 - 2**10 - 1], [2**63 - 1, 2**63 - 1]))
+@example(windows=([1e308, 1e308], [5e-324, 1.5e-323]))
+def test_delta_v_matches_numpy_median(windows):
+    before, after = windows
+    with np.errstate(over="ignore"):
+        want_before, want_after = (float(np.median(w)) for w in windows)
+    score = delta_v(before, after, span=len(before))
+    if want_before + want_after == 0.0:
+        assert score is None
+        return
+    assert _same_float(score.v_before, want_before)
+    assert _same_float(score.v_after, want_after)
 
 
 def test_delta_v_examples():

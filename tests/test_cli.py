@@ -240,6 +240,9 @@ def test_config_validation(tmp_path):
         ('{"histogram_bins": 0}', "'histogram_bins'"),
         ("[1, 2]", "JSON object"),
         ('{"logs": 5}', "'logs'"),
+        ('{"out": null}', "'out'"),
+        ("[" * 100_000, "not valid JSON"),
+        (b"\xff", "not valid JSON"),
     ],
     ids=[
         "span_not_integer",
@@ -250,11 +253,14 @@ def test_config_validation(tmp_path):
         "histogram_bins_zero",
         "not_an_object",
         "path_not_string",
+        "out_null",
+        "nested_too_deep",
+        "not_utf8",
     ],
 )
 def test_config_bad_value_is_input_error(tmp_path, capsys, text, named):
     config = tmp_path / "config.json"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert cli.main(["ingest", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert str(config) in err
@@ -324,6 +330,29 @@ def test_report_span_too_wide_to_bin_is_input_error(tmp_path, capsys):
     assert "results.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "{",
+        "[1]",
+        '{"ci": [0.1], "sample_mean": "x"}',
+        '{"ci": 5, "sample_mean": 0.1}',
+        "[" * 100_000,
+    ],
+    ids=["not_json", "not_an_object", "mean_not_a_number", "ci_not_a_pair", "nested_too_deep"],
+)
+def test_report_bad_summary_is_input_error(tmp_path, capsys, body):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "results.csv").write_text("hoax_title,delta_v,cohort_mean,cohort_n,D\nA,0.5,0.1,1,0.4\n")
+    (out / "cohort_scores.csv").write_text("hoax_title,member_title,delta_v\nA,C,0.1\n")
+    (out / "summary.json").write_text(body)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": "out"}))
+    assert cli.main(["report", "--config", str(config)]) == 1
+    assert "summary.json" in capsys.readouterr().err
+
+
 # Runs a command as `python -m hoaxlens.cli` does, then reports whether numpy was loaded.
 _NUMPY_PROBE = """
 import json, runpy, sys
@@ -336,9 +365,10 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("command", ["cohort", "report", "--help"])
+@pytest.mark.parametrize("command", ["cohort", "features", "report", "--help"])
 def test_stage_starts_without_numpy(run_dir, tmp_path, command):
-    """cohort, report and --help import only stdlib modules and numpy-free hoaxlens ones."""
+    """cohort, features, report and --help import only stdlib modules and numpy-free
+    hoaxlens ones."""
     _, config = _copy_run(run_dir, tmp_path)
     argv = [command] if command == "--help" else [command, "--config", str(config)]
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -92,7 +92,8 @@ def test_count_words_unicode():
 _REFERENCE_WORD_RE = re.compile(r"[^\W_]+")
 
 
-# Cs draws lone surrogates, which only "surrogatepass" can encode.
+# Cs draws lone surrogates, which the ASCII encode hands to the error handler as it does
+# every other non-ASCII character.
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(st.characters(exclude_categories=())))
 @example(text="")
@@ -104,6 +105,14 @@ _REFERENCE_WORD_RE = re.compile(r"[^\W_]+")
 @example(text="\U0001d400\U0001d401 \U00010400x \U0001f600")  # astral letters, emoji
 @example(text="a\ud800b")
 @example(text="\udfff\U0010ffff\x00")
+# Runs of non-ASCII characters, which the encode error handler classes.
+@example(text="\u0416\u0443\u043a and \u0451\u0436")  # a run first and last
+@example(text="\u00e9")
+@example(text="a\u00e9 b")
+@example(text="a\u00a0b")  # NO-BREAK SPACE
+@example(text="1990\u20131995")  # EN DASH
+@example(text="\ud800ab")  # a lone surrogate first
+@example(text="\u4e2d" * 10_000)
 def test_count_words_matches_regex(text):
     assert count_words(text) == sum(1 for _ in _REFERENCE_WORD_RE.finditer(text))
 
