@@ -21,8 +21,8 @@ from pathlib import Path
 
 log = logging.getLogger(__name__)
 
-# Each command imports the modules it runs, so that `cohort`, `report` and
-# `--help` start without numpy. The stage modules still resolve as attributes
+# Each command imports the modules it runs, so that every command but
+# `attention` starts without numpy. The stage modules still resolve as attributes
 # of cli (cli.logstore), for code that wraps their functions from outside.
 _STAGE_MODULES = frozenset({"attention", "corpus", "logstore", "svgplot", "wikitext"})
 

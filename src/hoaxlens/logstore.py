@@ -11,7 +11,11 @@ every output is the same whatever the number of workers.
 
 The store (``TrafficStore``) has one sparse layout in memory and on disk, where
 it is ``titles.txt`` (one title per line), ``keys.npy``, ``views.npy`` and a
-manifest of the coverage window and the ingest tallies.
+manifest of the coverage window and the ingest tallies. ``ingest`` builds the
+keys and views as stdlib ``array("q")`` and ``save_store`` writes them in the
+``.npy`` format without numpy, so the ingest stage never imports it.
+``load_store`` reads them back with numpy as int64 ndarrays, which
+``window_totals`` searches.
 """
 
 from __future__ import annotations
@@ -20,15 +24,19 @@ import gzip
 import logging
 import os
 import re
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .titles import RedirectTable, clean_title
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -38,9 +46,10 @@ MANIFEST_NAME = "manifest.txt"
 # Every file save_store writes; ingest refuses a store directory holding others.
 STORE_FILES = frozenset({"titles.txt", "keys.npy", "views.npy", MANIFEST_NAME})
 
-# Starting the worker pool costs the ingest stage about 50 ms and 1.7 MB of
-# memory (Python 3.11 on a 2-vCPU Xeon), which a worker earns back only with
-# at least this many bytes of log files, as stored, to read.
+# Starting a pool of two workers, forked from the numpy-free ingest process,
+# costs the stage about 20-30 ms and 3.6 MB of peak memory (Python 3.11 on a
+# 2-vCPU Xeon, 0.2 MB of logs), which a worker earns back only with at least
+# this many bytes of log files, as stored, to read.
 MIN_BYTES_PER_WORKER = 1 << 20
 
 # Fixed manifest/tally key order; changing it breaks stored-manifest compatibility.
@@ -107,14 +116,15 @@ class TrafficStore:
     ``titles`` is sorted. ``keys`` holds ``row * coverage_days + day_offset``
     for each (title, day) that the logs count, strictly ascending, where row
     indexes ``titles`` and the offset counts days from ``coverage_start``;
-    ``views`` holds the matching counts. Both are one-dimensional int64 arrays.
+    ``views`` holds the matching counts. Both are one-dimensional int64
+    arrays: ``array("q")`` from ``ingest``, numpy ndarrays from ``load_store``.
     """
 
     coverage_start: date
     coverage_end: date
     titles: list[str]
-    keys: np.ndarray
-    views: np.ndarray
+    keys: array | np.ndarray
+    views: array | np.ndarray
     tallies: dict[str, int]
     file_tallies: list[FileTally] = field(default_factory=list)
     unreadable: list[str] = field(default_factory=list)
@@ -125,15 +135,17 @@ class TrafficStore:
 
 
 def file_hour(path: str | Path) -> datetime:
-    """UTC hour encoded in the file name; raises ValueError on a non-matching name."""
+    """UTC hour encoded in the file name; raises ValueError, naming the file, on a
+    non-matching name and on an hour or date that does not exist."""
     name = Path(path).name
     m = HOUR_FILE_RE.match(name)
     if m is None:
         raise ValueError(f"not an hourly log file name: {name!r}")
     stamp, hour = m.groups()
-    return datetime.strptime(stamp, "%Y%m%d").replace(
-        hour=int(hour), tzinfo=timezone.utc
-    )
+    try:
+        return datetime.strptime(stamp, "%Y%m%d").replace(hour=int(hour), tzinfo=timezone.utc)
+    except ValueError as exc:
+        raise ValueError(f"hourly log file name {name!r} names no real hour: {exc}") from None
 
 
 _MISS = object()
@@ -342,24 +354,27 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     for key in TALLY_KEYS[2:]:
         tallies[key] = sum(getattr(t, key) for t in file_tallies)
     # Python ints do not overflow; past this check no sum of views overflows int64.
-    if sum(sum(counts.values()) for counts in by_day.values()) > np.iinfo(np.int64).max:
+    if sum(sum(counts.values()) for counts in by_day.values()) > 2**63 - 1:
         raise ValueError("total views exceed the int64 range")
     start, end = min(days_seen), max(days_seen)
     days = (end - start).days + 1
     titles = sorted(set().union(*by_day.values()))
-    first_key = {title: i * days for i, title in enumerate(titles)}
-    keys = np.fromiter(
-        (first_key[t] + (day - start).days for day, counts in by_day.items() for t in counts),
-        np.int64,
-    )
-    views = np.fromiter((c for counts in by_day.values() for c in counts.values()), np.int64)
-    order = np.argsort(keys)
+    # Title by title, and each title's days in order, gives the keys ascending.
+    day_counts = [((day - start).days, by_day[day].get) for day in sorted(by_day)]
+    keys, views = array("q"), array("q")
+    for row, title in enumerate(titles):
+        first_key = row * days
+        for offset, count_of in day_counts:
+            count = count_of(title)
+            if count is not None:
+                keys.append(first_key + offset)
+                views.append(count)
     return TrafficStore(
         coverage_start=start,
         coverage_end=end,
         titles=titles,
-        keys=keys[order],
-        views=views[order],
+        keys=keys,
+        views=views,
         tallies=tallies,
         file_tallies=file_tallies,
         unreadable=unreadable,
@@ -373,7 +388,10 @@ def window_totals(
 
     day0 itself belongs to neither window. Raises OutOfCoverage if either end of
     the combined window leaves store coverage; days with no rows count as zero.
+    The store's keys and views may be ``array("q")`` or numpy arrays.
     """
+    import numpy as np
+
     if span < 1:
         raise ValueError("span must be >= 1")
     first = day0 - timedelta(days=span)
@@ -391,13 +409,38 @@ def window_totals(
     # One row of wanted keys per title, one column per day of the combined window.
     wanted = np.arange(2 * span + 1) + (first - store.coverage_start).days
     wanted = (np.array(rows, np.int64)[:, None] * store.coverage_days + wanted).ravel()
-    pos = np.searchsorted(store.keys, wanted)
-    found = pos < len(store.keys)
-    found[found] = store.keys[pos[found]] == wanted[found]
+    keys, views = np.asarray(store.keys), np.asarray(store.views)
+    pos = np.searchsorted(keys, wanted)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == wanted[found]
     daily = np.zeros(len(wanted), np.int64)
-    daily[found] = store.views[pos[found]]
+    daily[found] = views[pos[found]]
     totals = daily.reshape(len(rows), 2 * span + 1).sum(axis=0).tolist()
     return totals[:span], totals[span + 1 :]
+
+
+# The .npy format 1.0 header np.save writes for a 1-D little-endian int64
+# array: magic, version, header length, then the dict, padded with spaces so
+# that the whole header takes 128 bytes, and a newline.
+_NPY_PREFIX = b"\x93NUMPY\x01\x00" + (118).to_bytes(2, "little")
+_NPY_DICT = "{{'descr': '<i8', 'fortran_order': False, 'shape': ({},), }}"
+
+
+def _write_npy(path: Path, values) -> None:
+    """Write a one-dimensional native int64 array (``array("q")`` or numpy) as
+    the bytes ``np.save`` writes for it."""
+    data = memoryview(values)
+    if data.ndim != 1 or data.itemsize != 8 or data.format not in ("q", "l"):
+        raise TypeError(f"{path.name}: not a one-dimensional native int64 array")
+    header = _NPY_DICT.format(len(data)).ljust(117) + "\n"
+    if sys.byteorder == "big":
+        swapped = array("q")
+        swapped.frombytes(data.cast("B"))
+        swapped.byteswap()
+        data = memoryview(swapped)
+    with open(path, "wb") as fh:
+        fh.write(_NPY_PREFIX + header.encode("ascii"))
+        fh.write(data)
 
 
 def save_store(store: TrafficStore, directory: str | Path) -> None:
@@ -406,8 +449,8 @@ def save_store(store: TrafficStore, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     titles = "".join(title + "\n" for title in store.titles)
     (directory / "titles.txt").write_text(titles, encoding="utf-8")
-    np.save(directory / "keys.npy", store.keys, allow_pickle=False)
-    np.save(directory / "views.npy", store.views, allow_pickle=False)
+    _write_npy(directory / "keys.npy", store.keys)
+    _write_npy(directory / "views.npy", store.views)
     manifest = [
         f"coverage_start={store.coverage_start.isoformat()}",
         f"coverage_end={store.coverage_end.isoformat()}",
@@ -421,6 +464,8 @@ def load_store(directory: str | Path) -> TrafficStore:
 
     Raises ValueError, naming the file, when the files do not form a consistent store.
     """
+    import numpy as np
+
     directory = Path(directory)
     fields: dict[str, str] = {}
     manifest = (directory / MANIFEST_NAME).read_text(encoding="utf-8")
@@ -431,14 +476,23 @@ def load_store(directory: str | Path) -> TrafficStore:
         if not sep:
             raise ValueError(f"{MANIFEST_NAME}:{lineno}: expected key=value")
         fields[key] = value
-    try:
-        start = date.fromisoformat(fields["coverage_start"])
-        end = date.fromisoformat(fields["coverage_end"])
-    except KeyError as exc:
-        raise ValueError(f"{MANIFEST_NAME}: missing field {exc}") from None
+    coverage = []
+    for key in ("coverage_start", "coverage_end"):
+        if key not in fields:
+            raise ValueError(f"{MANIFEST_NAME}: missing field {key!r}")
+        try:
+            coverage.append(date.fromisoformat(fields[key]))
+        except ValueError as exc:
+            raise ValueError(f"{MANIFEST_NAME}: {key}={fields[key]!r}: {exc}") from None
+    start, end = coverage
     if end < start:
         raise ValueError(f"{MANIFEST_NAME}: coverage ends before it starts")
-    tallies = {key: int(fields.get(key, 0)) for key in TALLY_KEYS}
+    tallies = {}
+    for key in TALLY_KEYS:
+        value = fields.get(key, "0")
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"{MANIFEST_NAME}: {key}={value!r} is not a count")
+        tallies[key] = int(value)
     titles = (directory / "titles.txt").read_text(encoding="utf-8").split("\n")
     if titles.pop() != "":
         raise ValueError("titles.txt: last line has no newline")

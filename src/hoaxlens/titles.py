@@ -1,7 +1,7 @@
 """Title rules shared by every stage: cleaning, redirects, fixture file names.
 
-Standard library only, so that the stages which need no arrays (``cohort``,
-``report``) start without importing numpy.
+Standard library only, so that every stage but ``attention`` starts without
+importing numpy.
 """
 
 from __future__ import annotations

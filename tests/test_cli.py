@@ -163,8 +163,18 @@ def test_missing_config_is_input_error(tmp_path):
         ({"redirects.tsv": "Old New\n"}, "logs", "redirects.tsv"),
         ({"filter.conf": "# no project line\n"}, "logs", "filter.conf"),
         ({"logs/pagecounts-20070310-000000.gz": ""}, "logs", "pagecounts-20070310-000000.gz"),
+        ({"logs/pagecounts-20090302-250000": ""}, "logs", "pagecounts-20090302-250000"),
+        ({"logs/pagecounts-20090230-010000": ""}, "logs", "pagecounts-20090230-010000"),
     ],
-    ids=["non_hourly_file", "all_unreadable", "redirect_without_tab", "no_project", "hour_twice"],
+    ids=[
+        "non_hourly_file",
+        "all_unreadable",
+        "redirect_without_tab",
+        "no_project",
+        "hour_twice",
+        "no_such_hour",
+        "no_such_date",
+    ],
 )
 def test_ingest_input_errors_exit_1(tmp_path, capsys, overrides, logs, offender):
     inputs = {
@@ -365,10 +375,10 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("command", ["cohort", "features", "report", "--help"])
+@pytest.mark.parametrize("command", ["ingest", "cohort", "features", "report", "--help"])
 def test_stage_starts_without_numpy(run_dir, tmp_path, command):
-    """cohort, features, report and --help import only stdlib modules and numpy-free
-    hoaxlens ones."""
+    """ingest, cohort, features, report and --help import only stdlib modules and
+    numpy-free hoaxlens ones. ingest's pool workers are forked from this process."""
     _, config = _copy_run(run_dir, tmp_path)
     argv = [command] if command == "--help" else [command, "--config", str(config)]
     src = str(Path(cli.__file__).resolve().parents[1])

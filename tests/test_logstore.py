@@ -2,12 +2,18 @@
 
 import concurrent.futures
 import gzip
+import io
 import multiprocessing
 import os
-from datetime import date, datetime, timezone
+import tempfile
+from array import array
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoaxlens import logstore
 from hoaxlens.logstore import (
@@ -109,6 +115,9 @@ def test_file_hour():
     assert file_hour("x/y/pagecounts-20071231-230000.gz").hour == 23
     with pytest.raises(ValueError):
         file_hour("pagecounts-2007031-130000")
+    for name in ("pagecounts-20090302-250000", "pagecounts-20090230-010000"):
+        with pytest.raises(ValueError, match=name):
+            file_hour(name)
 
 
 CONFIG = FilterConfig(project="en", namespace_prefixes=("Talk:",))
@@ -414,18 +423,24 @@ def test_store_round_trip_bytes_exact(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
+_COVERAGE = "coverage_start=2007-03-10\ncoverage_end=2007-03-12\n"
+
+
 @pytest.mark.parametrize(
-    "name, value",
+    "name, value, detail",
     [
-        ("keys.npy", np.array([3, 0, 5], np.int64)),
-        ("keys.npy", np.array([0, 3, 6], np.int64)),
-        ("keys.npy", np.array([-1, 3, 5], np.int64)),
-        ("keys.npy", np.array([0, 3], np.int64)),
-        ("keys.npy", np.array([0.0, 3.0, 5.0])),
-        ("views.npy", np.array([3, -2, 4], np.int64)),
-        ("titles.txt", "B\nA\n"),
-        ("titles.txt", "A\nB"),
-        ("manifest.txt", "coverage_start=2007-03-12\ncoverage_end=2007-03-10\n"),
+        ("keys.npy", np.array([3, 0, 5], np.int64), ""),
+        ("keys.npy", np.array([0, 3, 6], np.int64), ""),
+        ("keys.npy", np.array([-1, 3, 5], np.int64), ""),
+        ("keys.npy", np.array([0, 3], np.int64), ""),
+        ("keys.npy", np.array([0.0, 3.0, 5.0]), ""),
+        ("views.npy", np.array([3, -2, 4], np.int64), ""),
+        ("titles.txt", "B\nA\n", ""),
+        ("titles.txt", "A\nB", ""),
+        ("manifest.txt", "coverage_start=2007-03-12\ncoverage_end=2007-03-10\n", ""),
+        ("manifest.txt", _COVERAGE + "lines_kept=x\n", "lines_kept"),
+        ("manifest.txt", "coverage_start=2009-13-02\ncoverage_end=2007-03-12\n", "coverage_start"),
+        ("manifest.txt", _COVERAGE + "lines_kept=-5\n", "lines_kept"),
     ],
     ids=[
         "keys_descending",
@@ -437,9 +452,12 @@ def test_store_round_trip_bytes_exact(tmp_path):
         "titles_unsorted",
         "titles_no_final_newline",
         "coverage_reversed",
+        "tally_not_a_number",
+        "coverage_no_such_month",
+        "tally_negative",
     ],
 )
-def test_load_store_rejects_inconsistent_files(tmp_path, name, value):
+def test_load_store_rejects_inconsistent_files(tmp_path, name, value, detail):
     d = date(2007, 3, 10)
     files = [
         _write_hour(tmp_path, d, 0, ["en A 3 1", "en B 1 1"]),
@@ -453,5 +471,46 @@ def test_load_store_rejects_inconsistent_files(tmp_path, name, value):
         (store_dir / name).write_text(value)
     else:
         np.save(store_dir / name, value)
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=name) as err:
         load_store(store_dir)
+    assert detail in str(err.value)
+
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(int64s, max_size=40), repeat=st.integers(1, 100))
+@example(values=[], repeat=1)
+@example(values=[-(2**63), 2**63 - 1, 0, -1], repeat=1)
+def test_write_npy_matches_np_save(values, repeat):
+    """The stdlib writer gives np.save's bytes, from an array("q") and from an ndarray."""
+    values = values * repeat
+    want = io.BytesIO()
+    np.save(want, np.array(values, np.int64), allow_pickle=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.npy"
+        for source in (array("q", values), np.array(values, np.int64)):
+            logstore._write_npy(path, source)
+            assert path.read_bytes() == want.getvalue()
+            assert np.load(path, allow_pickle=False).tolist() == values
+
+
+def test_window_totals_same_for_array_and_ndarray_store(tmp_path):
+    titles = ["A", "B", "C", "D"]
+    files = []
+    for i in range(20):
+        lines = [f"en {t} {(i * 7 + k * 3) % 11} 1" for k, t in enumerate(titles) if (i + k) % 3]
+        files.append(_write_hour(tmp_path, date(2007, 3, 1) + timedelta(days=i), 0, lines))
+    built = ingest(files, RedirectTable(), CONFIG)
+    assert isinstance(built.keys, array)
+    save_store(built, tmp_path / "store")
+    loaded = load_store(tmp_path / "store")
+    assert isinstance(loaded.keys, np.ndarray)
+    for span in (1, 3, 7):
+        for i in range(span, 20 - span):
+            day0 = date(2007, 3, 1) + timedelta(days=i)
+            for subset in (["A"], ["B", "D"], titles, ["Missing", "C"], []):
+                assert window_totals(built, subset, day0, span) == window_totals(
+                    loaded, subset, day0, span
+                )
