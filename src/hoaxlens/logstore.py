@@ -4,10 +4,10 @@ Input files follow the classic pagecount dump layout: one line per (project, tit
 with space-separated fields ``project title count bytes`` and the UTC hour encoded
 in the file name (``pagecounts-YYYYMMDD-HH0000``, optionally gzipped).
 
-``ingest`` reads the hourly files in parallel, one worker process per CPU
-available to the process, at most one per file and one per MiB of input, and
-merges their counts in input order. There is no setting for the worker count:
-every output is the same whatever the number of workers.
+``ingest`` reads the hourly files in parallel through ``forkpool``, at most one
+worker process per file and one per MiB of input, and merges their counts in
+input order. There is no setting for the worker count: every output is the
+same whatever the number of workers.
 
 The store (``TrafficStore``) has one sparse layout in memory and on disk, where
 it is ``titles.txt`` (one title per line), ``keys.npy``, ``views.npy`` and a
@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import gzip
 import logging
-import os
 import re
 import sys
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import forkpool
 from .titles import RedirectTable, clean_title
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 log = logging.getLogger(__name__)
@@ -62,6 +62,7 @@ TALLY_KEYS = (
     "lines_dropped_title",
     "lines_malformed",
 )
+_MANIFEST_KEYS = frozenset({"coverage_start", "coverage_end", *TALLY_KEYS})
 
 
 class OutOfCoverage(ValueError):
@@ -240,63 +241,6 @@ def _read_batch(
     return counts, outcomes
 
 
-# A pool worker's arguments to _read_batch after the paths, its own clean
-# cache included. _start_worker sets them once in each worker process.
-_worker_args: tuple = ()
-
-
-def _start_worker(config: FilterConfig, flat_redirects: dict[str, str]) -> None:
-    global _worker_args
-    _worker_args = (config, {}, flat_redirects)
-
-
-def _read_batch_in_worker(paths: list[Path]) -> tuple[dict[str, int], list[FileTally | str]]:
-    return _read_batch(paths, *_worker_args)
-
-
-def _ingest_workers(paths: list[Path]) -> int:
-    """Worker processes to read paths with; 1 means the calling process reads them.
-
-    One per available CPU, at most one per file and one per MIN_BYTES_PER_WORKER
-    of input. Workers are forked, so a calling script needs no ``__main__``
-    guard; where ``fork`` is not offered, there is one worker.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    size = sum(p.stat().st_size for p in paths if p.is_file())
-    workers = min(cpus, len(paths), max(1, size // MIN_BYTES_PER_WORKER))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return workers
-
-
-def _read_batches(
-    batches: list[list[Path]], workers: int, config: FilterConfig, flat_redirects: dict[str, str]
-):
-    """Yield ``_read_batch``'s result for each batch, in input order."""
-    if workers == 1:
-        read = partial(_read_batch, config=config, clean_cache={}, flat_redirects=flat_redirects)
-        yield from map(read, batches)
-        return
-    # Imported here: the pool machinery costs every stage memory, and only
-    # ingest over enough input uses it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(config, flat_redirects),
-    ) as pool:
-        yield from pool.map(_read_batch_in_worker, batches)
-
-
 def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     """Build a TrafficStore from hourly files.
 
@@ -318,7 +262,8 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
             raise ValueError(f"hour {hour:%Y-%m-%d %H}:00 supplied twice: {hours[hour]} and {path}")
         hours[hour] = path
     flat = table.flattened()
-    workers = _ingest_workers(list(hours.values()))
+    size = sum(p.stat().st_size for p in hours.values() if p.is_file())
+    workers = forkpool.worker_count(len(hours), size, MIN_BYTES_PER_WORKER)
     # A worker sums the consecutive files of one day it reads as one batch,
     # which leaves less to send back and merge here; four batches or more per
     # worker keep the workers evenly loaded.
@@ -334,7 +279,10 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     file_tallies: list[FileTally] = []
     unreadable: list[str] = []
     days_seen: list[date] = []
-    results = _read_batches([batch for _, batch in batches], workers, config, flat)
+    # Each worker process, or this one when there is one worker, keeps one clean cache.
+    results = forkpool.ordered_map(
+        _read_batch, [batch for _, batch in batches], workers, (config, {}, flat)
+    )
     for (day, batch), (counts, outcomes) in zip(batches, results, strict=True):
         for path, outcome in zip(batch, outcomes, strict=True):
             if isinstance(outcome, str):
@@ -361,6 +309,9 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     titles = sorted(set().union(*by_day.values()))
     # Title by title, and each title's days in order, gives the keys ascending.
     day_counts = [((day - start).days, by_day[day].get) for day in sorted(by_day)]
+    # Imported here: attention, which never builds a store, need not map the module.
+    from array import array
+
     keys, views = array("q"), array("q")
     for row, title in enumerate(titles):
         first_key = row * days
@@ -434,6 +385,8 @@ def _write_npy(path: Path, values) -> None:
         raise TypeError(f"{path.name}: not a one-dimensional native int64 array")
     header = _NPY_DICT.format(len(data)).ljust(117) + "\n"
     if sys.byteorder == "big":
+        from array import array
+
         swapped = array("q")
         swapped.frombytes(data.cast("B"))
         swapped.byteswap()
@@ -462,7 +415,9 @@ def save_store(store: TrafficStore, directory: str | Path) -> None:
 def load_store(directory: str | Path) -> TrafficStore:
     """Inverse of save_store; per-file tallies are not persisted, aggregates are.
 
-    Raises ValueError, naming the file, when the files do not form a consistent store.
+    Raises ValueError, naming the file, when the files do not form a consistent
+    store, and naming the key when ``manifest.txt`` repeats one or holds one that
+    save_store does not write.
     """
     import numpy as np
 
@@ -475,6 +430,10 @@ def load_store(directory: str | Path) -> TrafficStore:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{MANIFEST_NAME}:{lineno}: expected key=value")
+        if key not in _MANIFEST_KEYS:
+            raise ValueError(f"{MANIFEST_NAME}:{lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"{MANIFEST_NAME}:{lineno}: key {key!r} given twice")
         fields[key] = value
     coverage = []
     for key in ("coverage_start", "coverage_end"):

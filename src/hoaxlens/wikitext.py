@@ -3,6 +3,11 @@
 Four features per article, all normalized by the markup word count: plain-text
 length, plain-to-markup ratio, wiki-link density and external-link density
 (densities per 100 markup words).
+
+``extract_wikilinks`` cleans each distinct raw link target once per process and
+keeps the result for the rest of the stage, as articles share most of their
+link targets. A forked ``features`` worker starts from its parent's entries and
+adds its own.
 """
 
 from __future__ import annotations
@@ -169,22 +174,32 @@ def count_words(text: str) -> int:
     return classes.count(b" a") + classes.startswith(b"a")
 
 
+# Raw [[...]] target -> its cleaned title, or None for a target that is skipped.
+_link_targets: dict[str, str | None] = {}
+
+
+def _link_target(raw: str) -> str | None:
+    target = raw.strip()
+    if not target or _EXCLUDED_LINK_RE.match(target) or _INTERLANG_RE.match(target):
+        cleaned = None
+    else:
+        cleaned = clean_title(target)
+    _link_targets[raw] = cleaned
+    return cleaned
+
+
 def extract_wikilinks(markup: str) -> list[str]:
     """Cleaned link targets in order of appearance, duplicates preserved.
 
     Category, file/image and interlanguage links are organizational and skipped.
+    Each distinct raw target is cleaned once per process.
     """
     links: list[str] = []
-    for m in _WIKILINK_RE.finditer(markup):
-        target = m.group(1).strip()
-        if not target:
-            continue
-        if _EXCLUDED_LINK_RE.match(target) or _INTERLANG_RE.match(target):
-            continue
-        cleaned = clean_title(target)
-        if cleaned is None:
-            continue
-        links.append(cleaned)
+    known = _link_targets
+    for raw, _ in _WIKILINK_RE.findall(markup):
+        cleaned = known[raw] if raw in known else _link_target(raw)
+        if cleaned is not None:
+            links.append(cleaned)
     return links
 
 

@@ -1,5 +1,6 @@
 """Pipeline commands: config handling, outputs, determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthgen
-from hoaxlens import attention, cli, corpus, logstore, svgplot, wikitext
+from hoaxlens import attention, cli, corpus, forkpool, logstore, svgplot, wikitext
 
 
 @pytest.fixture(scope="module")
@@ -363,33 +364,58 @@ def test_report_bad_summary_is_input_error(tmp_path, capsys, body):
     assert "summary.json" in capsys.readouterr().err
 
 
-# Runs a command as `python -m hoaxlens.cli` does, then reports whether numpy was loaded.
-_NUMPY_PROBE = """
+# Runs a command as `python -m hoaxlens.cli` does, then reports which of numpy and
+# the pool machinery it loaded.
+_IMPORT_PROBE = """
 import json, runpy, sys
 sys.argv = ["hoaxlens", *sys.argv[1:]]
 try:
     runpy.run_module("hoaxlens.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+watched = ["numpy", "multiprocessing", "concurrent.futures"]
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
 """
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """script, run in a fresh interpreter that imports hoaxlens from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def _loaded_modules(run_dir, tmp_path, command) -> list[str]:
+    """The watched modules a command loads, run in a fresh interpreter on a copy of run_dir."""
+    _, config = _copy_run(run_dir, tmp_path)
+    argv = [command] if command == "--help" else [command, "--config", str(config)]
+    proc = _run_python(_IMPORT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    return result["loaded"]
 
 
 @pytest.mark.parametrize("command", ["ingest", "cohort", "features", "report", "--help"])
 def test_stage_starts_without_numpy(run_dir, tmp_path, command):
     """ingest, cohort, features, report and --help import only stdlib modules and
     numpy-free hoaxlens ones. ingest's pool workers are forked from this process."""
-    _, config = _copy_run(run_dir, tmp_path)
-    argv = [command] if command == "--help" else [command, "--config", str(config)]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"code": 0, "numpy": False}
+    assert "numpy" not in _loaded_modules(run_dir, tmp_path, command)
+
+
+@pytest.mark.parametrize("command", ["cohort", "features", "report", "--help"])
+def test_stage_starts_no_pool(run_dir, tmp_path, command):
+    """cohort and report never start a worker pool, and features, on fewer articles
+    than MIN_ARTICLES_PER_WORKER, does not either: none loads the pool's modules."""
+    articles = len((run_dir / "out" / "features.csv").read_text().splitlines()) - 1
+    assert articles < cli.MIN_ARTICLES_PER_WORKER
+    assert _loaded_modules(run_dir, tmp_path, command) == []
 
 
 def _edit(name, edit):
@@ -408,6 +434,23 @@ def _old_tsv_layout(store):
     with open(store / "manifest.txt", "a") as fh:
         fh.write("shards=16\n")
     (store / "shard-0000.tsv").write_text("Synth_hoax_00\t2007-03-10\t5\n")
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("lines_kept=99", "'lines_kept' given twice"), ("shards=16", "unknown key 'shards'")],
+    ids=["repeated_key", "unknown_key"],
+)
+def test_bad_manifest_key_is_input_error(run_dir, tmp_path, capsys, line, key):
+    """A manifest that repeats a key or holds one save_store does not write stops
+    attention, rather than loading with the last value."""
+    root, config = _copy_run(run_dir, tmp_path)
+    with open(root / "out" / "store" / "manifest.txt", "a") as fh:
+        fh.write(line + "\n")
+    assert cli.main(["attention", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt" in err
+    assert key in err
 
 
 @pytest.mark.parametrize(
@@ -496,6 +539,88 @@ def test_features_rerun_is_byte_identical(run_dir, tmp_path):
     root, config = _copy_run(run_dir, tmp_path)
     assert cli.main(["features", "--config", str(config)]) == 0
     assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
+
+
+FEATURES_OUTPUTS = ["features.csv", "zscores.csv", "feature_exclusions.csv", "neighbors.csv"]
+
+
+@pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
+def features_workers(request, monkeypatch):
+    """The features stage's pool sizes, recorded, with one worker as on a corpus
+    this small, or two forced with a worker for every article on two CPUs."""
+    if request.param == 2:
+        monkeypatch.setattr(cli, "MIN_ARTICLES_PER_WORKER", 1)
+        monkeypatch.setattr(forkpool, "available_cpus", lambda: 2)
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    yield started
+    assert started == ([] if request.param == 1 else [2])
+
+
+def test_features_same_bytes_whatever_the_workers(run_dir, tmp_path, features_workers):
+    """One or two workers write the same bytes, exclusions and their order included."""
+    root, config = _copy_run(run_dir, tmp_path)
+    (root / "fixtures" / "Cohort_d0_m01.wiki").unlink()
+    (root / "fixtures" / "Synth_hoax_00.wiki").write_text("[[!]]", encoding="utf-8")
+    for name in FEATURES_OUTPUTS:
+        (root / "out" / name).unlink()
+    serial = tmp_path / "serial"
+    shutil.copytree(root, serial)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forkpool, "worker_count", lambda *args: 1)
+        assert cli.main(["features", "--config", str(serial / "config.json")]) == 0
+    assert cli.main(["features", "--config", str(config)]) == 0
+    for name in FEATURES_OUTPUTS:
+        assert (root / "out" / name).read_bytes() == (serial / "out" / name).read_bytes(), name
+    exclusions = (root / "out" / "feature_exclusions.csv").read_text()
+    assert "Cohort_d0_m01,no_fixture" in exclusions
+    assert "Synth_hoax_00,empty_article" in exclusions
+
+
+def test_features_names_first_bad_fixture_in_title_order(
+    run_dir, tmp_path, capsys, features_workers
+):
+    root, config = _copy_run(run_dir, tmp_path)
+    titles = sorted(p.stem for p in (root / "fixtures").glob("*.wiki"))
+    first, last = titles[2], titles[-1]
+    for title in (last, first):
+        (root / "fixtures" / f"{title}.wiki").write_bytes(b"[[A]] \xff")
+    assert cli.main(["features", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{first}.wiki" in err
+    assert f"{last}.wiki" not in err
+
+
+# Runs features with a compute_features that raises, on the given number of CPUs
+# and with a worker for every article.
+_BROKEN_TASK_PROBE = """
+import sys
+from hoaxlens import cli, forkpool, wikitext
+
+def broken(source, links):
+    raise RuntimeError(f"cannot compute {source.title}")
+
+wikitext.compute_features = broken
+cli.MIN_ARTICLES_PER_WORKER = 1
+forkpool.available_cpus = lambda: int(sys.argv[1])
+sys.exit(cli.main(["features", "--config", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_worker", "two_workers"])
+def test_features_task_error_is_exit_2(run_dir, tmp_path, cpus):
+    """An unexpected exception in a task ends the stage with its traceback, pool or not."""
+    _, config = _copy_run(run_dir, tmp_path)
+    proc = _run_python(_BROKEN_TASK_PROBE, str(cpus), str(config))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: cannot compute" in proc.stderr
 
 
 def test_attention_runs_without_fixtures(run_dir, tmp_path):

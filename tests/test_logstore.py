@@ -15,12 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hoaxlens import logstore
+from hoaxlens import forkpool, logstore
 from hoaxlens.logstore import (
     FilterConfig,
     OutOfCoverage,
     RedirectTable,
-    _ingest_workers,
     clean_title,
     file_hour,
     ingest,
@@ -315,22 +314,19 @@ def test_ingest_single_file_starts_no_pool(tmp_path, pools):
         (8, 1, 1000, ["fork", "spawn"], 1),
         (4, 10, 100, ["spawn"], 1),
         (None, 10, 100, ["fork"], 3),
+        (4, 0, 100, ["fork", "spawn"], 1),
     ],
-    ids=["files_bound", "cpus_bound", "bytes_bound", "one_file", "no_fork", "no_affinity"],
+    ids=["files_bound", "cpus_bound", "bytes_bound", "one_file", "no_fork", "no_affinity", "no_files"],
 )
-def test_ingest_workers_bounded(tmp_path, monkeypatch, cpus, n_files, file_bytes, methods, workers):
+def test_ingest_workers_bounded(monkeypatch, cpus, n_files, file_bytes, methods, workers):
+    """The shared rule as ingest applies it, with one worker per 100 bytes of files."""
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 100)
-    paths = []
-    for i in range(n_files):
-        paths.append(tmp_path / f"pagecounts-20070310-{i:02d}0000")
-        paths[-1].write_bytes(b"x" * file_bytes)
-    assert _ingest_workers(paths) == workers
+    assert forkpool.worker_count(n_files, n_files * file_bytes, 100) == workers
 
 
 def test_ingest_no_files_raises():

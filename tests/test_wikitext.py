@@ -6,8 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hoaxlens import wikitext
+from hoaxlens.titles import clean_title
 from hoaxlens.wikitext import (
+    _EXCLUDED_LINK_RE,
     _EXT_BRACKET_RE,
+    _INTERLANG_RE,
+    _WIKILINK_RE,
     ArticleSource,
     EmptyArticle,
     compute_features,
@@ -146,6 +151,37 @@ def test_extract_wikilinks_canonical_outputs():
         assert "#" not in title
         assert not any(c in title for c in "<>[]{}|")
         assert title[0] == title[0].upper()
+
+
+def _reference_wikilinks(markup):
+    """extract_wikilinks without its cache: every target stripped, tested and cleaned."""
+    links = []
+    for m in _WIKILINK_RE.finditer(markup):
+        target = m.group(1).strip()
+        if not target or _EXCLUDED_LINK_RE.match(target) or _INTERLANG_RE.match(target):
+            continue
+        cleaned = clean_title(target)
+        if cleaned is not None:
+            links.append(cleaned)
+    return links
+
+
+_LINK_PIECES = st.sampled_from(
+    [
+        "[[", "]]", "|", "[", "]", " ", "\n", "a", "B", "#", "%20", "%", ":",
+        "Category:", "file :", ":fr:", "zh-min:", "<", "\x7f", "\u00e9", "\u00df",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(markup=st.lists(_LINK_PIECES, max_size=24).map("".join))
+def test_extract_wikilinks_cached_matches_reference(markup):
+    """Cold and warm, the cache of cleaned targets gives what cleaning each link does."""
+    want = _reference_wikilinks(markup)
+    wikitext._link_targets.clear()
+    assert extract_wikilinks(markup) == want
+    assert extract_wikilinks(markup) == want
 
 
 def test_extract_external_links_counts():
