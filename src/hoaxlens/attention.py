@@ -3,10 +3,13 @@
 The central quantity is the relative traffic drop of an article's link
 neighborhood around its creation day, compared against the same quantity for a
 same-day cohort; a positive difference means attention preceded creation.
+``score_hoaxes`` applies that rule to every hoax and is the one place that
+decides a hoax's D or the reason it has none.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -142,6 +145,54 @@ def cohort_d(
         cohort_n=len(included),
         d=hoax_score.delta_v - mean,
     )
+
+
+def score_hoaxes(store, span: int, hoaxes, creation, members, excluded, neighbors):
+    """D for each title in ``hoaxes`` against the defined scores of its cohort
+    ``members[hoax]``, created on ``creation[hoax]``.
+
+    ``excluded`` holds the cohort stage's reason for each hoax it left out, and
+    ``neighbors`` the neighbor titles of each article that has a fixture.
+    Returns the CohortAttentionResults, the ``[hoax, reason]`` exclusions, both
+    in hoax order, and the score cache's ``cache_info()``.
+    """
+    # Imported here so that features loads no more modules. window_totals, delta_v and
+    # cohort_d are looked up at each call, so wrappers set on them see every call.
+    from . import logstore
+
+    @functools.cache  # per (title, day): hoaxes created the same day share member scores
+    def article_score(title: str, day0) -> AttentionScore | str:
+        titles = neighbors.get(title)
+        if titles is None:
+            return "no_fixture"
+        if not titles:
+            return "no_neighbors"
+        try:
+            before, after = logstore.window_totals(store, titles, day0, span)
+        except logstore.OutOfCoverage:
+            return "out_of_coverage"
+        score = delta_v(before, after, span=span, title=title)
+        return "undefined_delta_v" if score is None else score
+
+    results, exclusions = [], []
+    for title in hoaxes:
+        if title in excluded:
+            exclusions.append([title, excluded[title]])
+            continue
+        if title not in members:
+            exclusions.append([title, "no_cohort"])
+            continue
+        day0 = creation[title]
+        hoax_score = article_score(title, day0)
+        if isinstance(hoax_score, str):
+            exclusions.append([title, hoax_score])
+            continue
+        cohort = [article_score(member, day0) for member in members[title]]
+        try:
+            results.append(cohort_d(hoax_score, [s for s in cohort if not isinstance(s, str)]))
+        except EmptyCohortScores:
+            exclusions.append([title, "empty_cohort_scores"])
+    return results, exclusions, article_score.cache_info()
 
 
 def bootstrap_resample_means(values, resamples: int = 10000, seed: int = 0) -> np.ndarray:

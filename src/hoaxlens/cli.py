@@ -53,6 +53,9 @@ SUMMARY_JSON = "summary.json"
 D_HISTOGRAM_CSV = "d_histogram.csv"
 BOOT_HISTOGRAM_CSV = "bootstrap_means_histogram.csv"
 PLOTS_DIR = "plots"
+FEATURES_OUTPUTS = (FEATURES_CSV, ZSCORES_CSV, FEATURE_EXCLUSIONS_CSV, NEIGHBORS_CSV)
+ATTENTION_OUTPUTS = (RESULTS_CSV, COHORT_SCORES_CSV, ATTENTION_EXCLUSIONS_CSV, SUMMARY_JSON,
+                     D_HISTOGRAM_CSV, BOOT_HISTOGRAM_CSV)
 
 FEATURES_HEADER = ["title", "plain_length", "ratio", "wikilink_density", "extlink_density"]
 NEIGHBORS_HEADER = ["title", "neighbors"]
@@ -175,6 +178,12 @@ def _csv_float(path: Path, lineno: int, text: str) -> float:
     return value
 
 
+def _unlink(*paths: Path) -> None:
+    """Remove a stage's old outputs before it reads any input: a failed run leaves none."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -229,6 +238,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     filter_path = _require(cfg.filter_config, "filter_config")
     redirect_path = _require(cfg.redirect_table, "redirect_table")
     _check_store_dir(cfg.store_dir())
+    _unlink(cfg.out_dir() / INGEST_REPORT, *(cfg.store_dir() / n for n in logstore.STORE_FILES))
     try:
         filter_cfg = logstore.FilterConfig.load(filter_path)
         table = logstore.RedirectTable.load(redirect_path)
@@ -261,6 +271,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_cohort(cfg: RunConfig) -> int:
     from . import corpus
 
+    out = cfg.out_dir()
+    _unlink(out / COHORTS_CSV, out / COHORT_EXCLUSIONS_CSV)
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     try:
         metas, redirects = corpus.load_creation_list(
@@ -272,7 +284,6 @@ def cmd_cohort(cfg: RunConfig) -> int:
     by_day: dict[date, list[corpus.ArticleMeta]] = {}
     for meta in metas:
         by_day.setdefault(meta.creation_date, []).append(meta)
-    out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     rows: list[list[str]] = []
     exclusions: list[list[str]] = []
@@ -304,11 +315,10 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
         except ValueError:
             raise InputError(f"{path}:{lineno}: bad creation date {day_s!r}") from None
         members.setdefault(hoax_title, []).append(member_title)
-    excluded: dict[str, str] = {}
-    exc_path = out / COHORT_EXCLUSIONS_CSV
-    if exc_path.exists():
-        for _, (title, reason) in _read_csv(exc_path, "cohort exclusions", 2):
-            excluded[title] = reason
+    excluded = {
+        title: reason
+        for _, (title, reason) in _iter_csv(out / COHORT_EXCLUSIONS_CSV, "cohort exclusions", 2)
+    }
     return creation, members, excluded
 
 
@@ -354,10 +364,11 @@ def _article_outcomes(titles: list[str], fixtures: Path, hoax_titles: set[str]) 
 def cmd_features(cfg: RunConfig) -> int:
     from . import attention, forkpool, wikitext
 
+    out = cfg.out_dir()
+    _unlink(*(out / name for name in FEATURES_OUTPUTS))
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     hoax_titles = {h.title for h in hoaxes}
     fixtures = _require(cfg.fixtures, "fixtures")
-    out = cfg.out_dir()
     _, members, _ = _read_cohorts(out)
     titles = set(members)
     for member_list in members.values():
@@ -450,6 +461,8 @@ def _read_neighbors(out: Path) -> dict[str, list[str]]:
 def cmd_attention(cfg: RunConfig) -> int:
     from . import attention, logstore, svgplot
 
+    out = cfg.out_dir()
+    _unlink(*(out / name for name in ATTENTION_OUTPUTS))
     store_dir = cfg.store_dir()
     if not (store_dir / logstore.MANIFEST_NAME).exists():
         raise InputError(f"missing traffic store: {store_dir} (run ingest first)")
@@ -458,75 +471,21 @@ def cmd_attention(cfg: RunConfig) -> int:
     except (OSError, EOFError, ValueError) as exc:
         raise InputError(f"unreadable traffic store {store_dir}: {exc}") from None
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
-    out = cfg.out_dir()
     creation, members, cohort_excluded = _read_cohorts(out)
     neighbors = _read_neighbors(out)
-    no_fixture = {
-        title
-        for _, (title, reason) in _iter_csv(out / FEATURE_EXCLUSIONS_CSV, "feature exclusions", 2)
-        if reason == "no_fixture"
-    }
-    span = cfg.span
-
-    # Scores are per (title, day); hoaxes created the same day share member scores.
-    score_cache: dict[tuple[str, date], attention.AttentionScore | None | str] = {}
-
-    def article_score(title: str, day0: date):
-        key = (title, day0)
-        if key in score_cache:
-            return score_cache[key]
-        titles = neighbors.get(title)
-        if titles is None:
-            if title not in no_fixture:
-                raise InputError(
-                    f"{out / NEIGHBORS_CSV} has no row for {title!r}, which the features stage "
-                    "did not exclude as no_fixture; rerun features"
-                )
-            result = "no_fixture"
-        elif not titles:
-            result = "no_neighbors"
-        else:
-            try:
-                before, after = logstore.window_totals(store, titles, day0, span)
-                result = attention.delta_v(before, after, span=span, title=title)
-            except logstore.OutOfCoverage:
-                result = "out_of_coverage"
-        score_cache[key] = result
-        return result
-
-    results: list[attention.CohortAttentionResult] = []
-    member_rows: list[list] = []
-    exclusions: list[list[str]] = []
-    for hoax in hoaxes:
-        title = hoax.title
-        if title in cohort_excluded:
-            exclusions.append([title, cohort_excluded[title]])
-            continue
-        if title not in members:
-            exclusions.append([title, "no_cohort"])
-            continue
-        day0 = creation[title]
-        hoax_score = article_score(title, day0)
-        if isinstance(hoax_score, str):
-            exclusions.append([title, hoax_score])
-            continue
-        if hoax_score is None:
-            exclusions.append([title, "undefined_delta_v"])
-            continue
-        cohort_scores = []
-        for member in members[title]:
-            score = article_score(member, day0)
-            if isinstance(score, str) or score is None:
-                continue
-            cohort_scores.append(score)
-        try:
-            result = attention.cohort_d(hoax_score, cohort_scores)
-        except attention.EmptyCohortScores:
-            exclusions.append([title, "empty_cohort_scores"])
-            continue
-        results.append(result)
-        for score in result.cohort_scores:
-            member_rows.append([title, score.title, score.delta_v])
+    feature_exclusions = _iter_csv(out / FEATURE_EXCLUSIONS_CSV, "feature exclusions", 2)
+    no_fixture = {title for _, (title, reason) in feature_exclusions if reason == "no_fixture"}
+    # Every title cohorts.csv names needs a neighbors row or a no_fixture exclusion.
+    stale = set(members).union(*members.values()) - neighbors.keys() - no_fixture
+    if stale:
+        raise InputError(
+            f"{out / NEIGHBORS_CSV} has no row for {min(stale)!r}, which the features stage "
+            "did not exclude as no_fixture; rerun features"
+        )
+    results, exclusions, _ = attention.score_hoaxes(
+        store, cfg.span, [h.title for h in hoaxes], creation, members, cohort_excluded, neighbors
+    )
+    member_rows = [[r.hoax_score.title, s.title, s.delta_v] for r in results for s in r.cohort_scores]
     result_rows = [
         [r.hoax_score.title, r.hoax_score.delta_v, r.cohort_mean, r.cohort_n, r.d]
         for r in results
@@ -542,26 +501,16 @@ def cmd_attention(cfg: RunConfig) -> int:
         "d_positive": sum(1 for d in d_values if d > 0),
         "seed": cfg.seed,
         "resamples": cfg.resamples,
+        "sample_mean": None,
+        "ci": None,
     }
     if d_values:
         boot = attention.bootstrap_mean_ci(d_values, resamples=cfg.resamples, seed=cfg.seed)
         summary["sample_mean"] = boot.sample_mean
         summary["ci"] = [boot.ci_low, boot.ci_high]
-        edges, counts = svgplot.compute_histogram(d_values, bins=cfg.histogram_bins)
-        _write_csv(
-            out / D_HISTOGRAM_CSV,
-            ["bin_left", "bin_right", "count"],
-            [[l, r, c] for l, r, c in zip(edges[:-1], edges[1:], counts)],
-        )
-        m_edges, m_counts = svgplot.compute_histogram(boot.means, bins=cfg.histogram_bins)
-        _write_csv(
-            out / BOOT_HISTOGRAM_CSV,
-            ["bin_left", "bin_right", "count"],
-            [[l, r, c] for l, r, c in zip(m_edges[:-1], m_edges[1:], m_counts)],
-        )
-    else:
-        summary["sample_mean"] = None
-        summary["ci"] = None
+        for name, values in ((D_HISTOGRAM_CSV, d_values), (BOOT_HISTOGRAM_CSV, boot.means)):
+            edges, counts = svgplot.compute_histogram(values, bins=cfg.histogram_bins)
+            _write_csv(out / name, ["bin_left", "bin_right", "count"], zip(edges, edges[1:], counts))
     _write_json(out / SUMMARY_JSON, summary)
     mean_s = f"{summary['sample_mean']:.4f}" if d_values else "n/a"
     print(

@@ -1,4 +1,7 @@
-"""Robust z-scores, traffic drop ratio, cohort difference, bootstrap CI."""
+"""Robust z-scores, traffic drop ratio, cohort difference, bootstrap CI, hoax scoring."""
+
+import statistics
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from hoaxlens.attention import (
     cohort_d,
     delta_v,
     modified_z,
+    score_hoaxes,
 )
+from hoaxlens.logstore import TrafficStore
 
 
 def test_modified_z_example():
@@ -252,3 +257,129 @@ def test_bootstrap_chunked_draw_matches_one_shot(n, seed):
     one_shot = values[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
     means = bootstrap_resample_means(values, resamples=resamples, seed=seed)
     assert means.tobytes() == one_shot.tobytes()
+
+
+# --- score_hoaxes against a brute-force scorer --------------------------------
+
+_START = date(2007, 3, 1)
+_STORE_TITLES = ["N0", "N1", "N2", "N3"]
+_ROWLESS = ["Z0", "Z1"]  # linked to, but with no row in the store
+_HOAXES = ["H0", "H1", "H2", "H3"]
+_MEMBERS = ["M0", "M1", "M2", "M3", "M4"]
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Traffic as {title: {day offset: views}} over a drawn coverage, with many
+    zeros, and cohorts whose creation days may leave that coverage."""
+    span = draw(st.integers(1, 3))
+    days = 2 * span + draw(st.integers(0, 6))
+    traffic = {
+        title: draw(st.dictionaries(st.integers(0, days - 1), st.sampled_from([0, 1, 2, 7])))
+        for title in _STORE_TITLES
+    }
+    traffic = {title: views for title, views in traffic.items() if views}
+    # Each draw from often() is True three times in four.
+    often = st.sampled_from([True, True, True, False])
+    hoaxes = draw(st.permutations(_HOAXES))
+    members = {
+        hoax: draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=4, unique=True))
+        for hoax in _HOAXES
+        if draw(often)
+    }
+    # Offsets one day either side of those whose windows fit leave coverage.
+    offsets = st.integers(span - 1, days - span)
+    creation = {hoax: _START + timedelta(days=draw(offsets)) for hoax in members}
+    excluded = {hoax: "empty_cohort" for hoax in _HOAXES if not (draw(often) or draw(often))}
+    links = st.sets(st.sampled_from(_STORE_TITLES + _ROWLESS), min_size=1, max_size=3)
+    neighbors = {
+        title: sorted(draw(links)) if draw(often) else []
+        for title in _HOAXES + _MEMBERS
+        if draw(often)
+    }
+    return traffic, days, span, hoaxes, creation, members, excluded, neighbors
+
+
+def _traffic_store(traffic, days) -> TrafficStore:
+    titles = sorted(traffic)
+    cells = sorted(
+        (row * days + day, views)
+        for row, title in enumerate(titles)
+        for day, views in traffic[title].items()
+    )
+    return TrafficStore(
+        coverage_start=_START,
+        coverage_end=_START + timedelta(days=days - 1),
+        titles=titles,
+        keys=np.array([key for key, _ in cells], np.int64),
+        views=np.array([views for _, views in cells], np.int64),
+        tallies={},
+    )
+
+
+def _brute_force_scores(traffic, days, span, hoaxes, creation, members, excluded, neighbors):
+    """(hoax, delta_v, [(member, delta_v)], cohort mean, D) per scored hoax, and
+    the [hoax, reason] exclusions, straight from the definitions."""
+
+    def score(title, day0):
+        if title not in neighbors:
+            return "no_fixture"
+        if not neighbors[title]:
+            return "no_neighbors"
+        offset = (day0 - _START).days
+        if offset - span < 0 or offset + span > days - 1:
+            return "out_of_coverage"
+
+        def total(day):
+            return sum(traffic.get(n, {}).get(day, 0) for n in neighbors[title])
+
+        v_before = statistics.median(total(offset - i) for i in range(1, span + 1))
+        v_after = statistics.median(total(offset + i) for i in range(1, span + 1))
+        if v_before + v_after == 0:
+            return "undefined_delta_v"
+        return (v_before - v_after) / (v_before + v_after)
+
+    results, exclusions = [], []
+    for hoax in hoaxes:
+        if hoax in excluded:
+            exclusions.append([hoax, excluded[hoax]])
+            continue
+        if hoax not in members:
+            exclusions.append([hoax, "no_cohort"])
+            continue
+        hoax_dv = score(hoax, creation[hoax])
+        if isinstance(hoax_dv, str):
+            exclusions.append([hoax, hoax_dv])
+            continue
+        cohort = [(m, score(m, creation[hoax])) for m in members[hoax]]
+        cohort = [(m, dv) for m, dv in cohort if not isinstance(dv, str)]
+        if not cohort:
+            exclusions.append([hoax, "empty_cohort_scores"])
+            continue
+        mean = sum(dv for _, dv in cohort) / len(cohort)
+        results.append((hoax, hoax_dv, cohort, mean, hoax_dv - mean))
+    return results, exclusions
+
+
+def _close(values):
+    return pytest.approx(values, rel=1e-12, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scoring_cases())
+def test_score_hoaxes_matches_brute_force(case):
+    traffic, days, span, hoaxes, creation, members, excluded, neighbors = case
+    store = _traffic_store(traffic, days)
+    results, exclusions, _ = score_hoaxes(
+        store, span, hoaxes, creation, members, excluded, neighbors
+    )
+    want, want_exclusions = _brute_force_scores(*case)
+    assert exclusions == want_exclusions
+    assert [r.hoax_score.title for r in results] == [w[0] for w in want]
+    for result, (_, hoax_dv, cohort, mean, d) in zip(results, want):
+        assert [s.title for s in result.cohort_scores] == [m for m, _ in cohort]
+        assert result.cohort_n == len(cohort)
+        assert result.hoax_score.delta_v == _close(hoax_dv)
+        assert [s.delta_v for s in result.cohort_scores] == _close([dv for _, dv in cohort])
+        assert result.cohort_mean == _close(mean)
+        assert result.d == _close(d)

@@ -642,6 +642,14 @@ def _drop_row(title):
     return edit
 
 
+def _unscore_day0_drop_member(data):
+    """Both hoaxes of 2007-03-10 left with no neighbors, so that none of their
+    members is scored, and the row of one of those members dropped."""
+    for hoax in (b"Synth_hoax_00", b"Synth_hoax_01"):
+        data = _drop_row(hoax.decode())(data) + hoax + b",\n"
+    return _drop_row("Cohort_d0_m01")(data)
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -654,6 +662,7 @@ def _drop_row(title):
         (lambda data: data + b"A,\xff\n", "not valid UTF-8"),
         (_drop_row("Synth_hoax_00"), "no row for 'Synth_hoax_00'"),
         (_drop_row("Cohort_d0_m01"), "no row for 'Cohort_d0_m01'"),
+        (_unscore_day0_drop_member, "no row for 'Cohort_d0_m01'"),
     ],
     ids=[
         "missing",
@@ -665,6 +674,7 @@ def _drop_row(title):
         "not_utf8",
         "stale_hoax",
         "stale_member",
+        "stale_member_of_unscored_hoax",
     ],
 )
 def test_bad_neighbor_table_is_input_error(run_dir, tmp_path, capsys, edit, named):
@@ -788,6 +798,92 @@ def test_unreadable_input_is_input_error(
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, failed, then, named",
+    [
+        (_write_bytes("filter.conf", b"\xff"), "ingest", "attention", "missing traffic store"),
+        (_append_bytes("creations.csv", b"Caf\xe9,2007-03-10T08:00:00Z,0,\n"), "cohort",
+         "features", "cohorts.csv"),
+        (_write_bytes("fixtures/Synth_hoax_00.wiki", b"\xff"), "features", "attention",
+         "neighbors.csv"),
+        (_append_bytes("out/neighbors.csv", b"A,\xff\n"), "attention", "report", "results.csv"),
+    ],
+    ids=["ingest", "cohort", "features", "attention"],
+)
+def test_failed_stage_leaves_no_outputs(run_dir, tmp_path, capsys, mutate, failed, then, named):
+    """A stage that fails removes the outputs of its last run, so the next stage
+    stops on the missing file instead of reading the old one."""
+    root, config = _copy_run(run_dir, tmp_path)
+    mutate(root)
+    assert cli.main([failed, "--config", str(config)]) == 1
+    capsys.readouterr()
+    assert cli.main([then, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "first" in err
+
+
+@pytest.mark.parametrize("command", ["features", "attention"])
+def test_missing_cohort_exclusions_is_input_error(run_dir, tmp_path, capsys, command):
+    root, config = _copy_run(run_dir, tmp_path)
+    path = root / "out" / "cohort_exclusions.csv"
+    path.unlink()
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "run the earlier pipeline stage first" in err
+
+
+def test_score_cache_counts(run_dir):
+    """One lookup per hoax with a cohort, plus one per member when the hoax's own
+    score is defined; one miss per distinct (title, creation day)."""
+    cfg = cli.RunConfig.load(run_dir / "config.json")
+    out = cfg.out_dir()
+    hoaxes = [h.title for h in cli._load_hoaxes_unique(Path(cfg.hoax_list))]
+    creation, members, excluded = cli._read_cohorts(out)
+    store = logstore.load_store(cfg.store_dir())
+    _, _, info = attention.score_hoaxes(
+        store, cfg.span, hoaxes, creation, members, excluded, cli._read_neighbors(out)
+    )
+
+    def rows(name):
+        return [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+
+    defined = {row[0] for row in rows("results.csv")}
+    defined |= {h for h, reason in rows("attention_exclusions.csv") if reason == "empty_cohort_scores"}
+    hoax_lookups = {(hoax, day) for hoax, day, _ in rows("cohorts.csv")}
+    member_lookups = [(member, day) for hoax, day, member in rows("cohorts.csv") if hoax in defined]
+    assert info.hits + info.misses == len(hoax_lookups) + len(member_lookups)
+    assert info.misses == len(hoax_lookups | set(member_lookups))
+    assert info.hits > 0
+
+
+def test_traced_attention_sees_every_scoring_call(run_dir, tmp_path):
+    """bench/launch.py wraps the module attributes the scorer calls through: its
+    install() resolves every name it wraps, and the spans count the calls."""
+    root, config = _copy_run(run_dir, tmp_path)
+    spans_path = tmp_path / "spans.json"
+    launch = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(launch), str(spans_path), "0", "attention", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls: dict[str, int] = {}
+    for name, *_ in json.loads(spans_path.read_text()):
+        calls[name] = calls.get(name, 0) + 1
+    assert calls.get("logstore.window_totals", 0) > 0
+    assert calls.get("attention.delta_v", 0) > 0
+    out = root / "out"
+    results = len((out / "results.csv").read_text().splitlines()) - 1
+    empty = (out / "attention_exclusions.csv").read_text().count(",empty_cohort_scores\n")
+    assert calls.get("attention.cohort_d", 0) == results + empty
+
+
 # Canonical titles, among them ones csv must quote and one fixture_filename encodes.
 _ARTICLES = ["Self_page", "Café", "AC/DC", "!", "Known_hoax", 'Q,"uote"', "Zürich"]
 _LINK_FORMS = ["[[{t}]]", "[[{s}]]", "[[{l}]]", "[[{t}|label]]", "[[{t}#Section]]", "[[ {s} ]]"]
@@ -840,6 +936,7 @@ def test_neighbor_table_matches_neighbor_set(articles, hoaxes):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["hoax_title", "creation_date", "member_title"])
             writer.writerows(["No_fixture", "2007-03-10", title] for title in sorted(articles))
+        (root / "out" / "cohort_exclusions.csv").write_text("hoax_title,reason\n")
         config = root / "config.json"
         keys = {"hoax_list": "hoaxes.csv", "fixtures": "fixtures", "out": "out"}
         config.write_text(json.dumps(keys))
