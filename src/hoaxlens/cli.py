@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 import math
+import struct
 import sys
 import traceback
 from contextlib import closing
@@ -141,11 +142,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# A neighbors.csv field lists every link of an article, which passes the csv
+# module's default limit of 131,072 characters at about 6,000 links; the reader
+# takes the largest limit the platform's C long holds.
+CSV_FIELD_LIMIT = 2 ** (8 * struct.calcsize("l") - 1) - 1
+
+
 def _iter_csv(path: Path, what: str, width: int, stage: str = "the earlier pipeline stage"):
     """(line number, row) for each non-blank row after the header, read as it is
     yielded; each row has width fields."""
     if not path.exists():
         raise InputError(f"missing {what}: {path} (run {stage} first)")
+    csv.field_size_limit(CSV_FIELD_LIMIT)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -550,6 +558,8 @@ def cmd_report(cfg: RunConfig) -> int:
     from . import svgplot, titles
 
     out = cfg.out_dir()
+    plots = out / PLOTS_DIR
+    _unlink(*plots.glob("cohort_*.svg"), plots / "d_histogram.svg")
     results_path = out / RESULTS_CSV
     scores_path = out / COHORT_SCORES_CSV
     results = _read_csv(results_path, "attention results", len(RESULTS_HEADER))
@@ -565,7 +575,6 @@ def cmd_report(cfg: RunConfig) -> int:
     member_scores: dict[str, list[float]] = {}
     for lineno, (hoax_title, _, dv) in scores:
         member_scores.setdefault(hoax_title, []).append(_csv_float(scores_path, lineno, dv))
-    plots = out / PLOTS_DIR
     plots.mkdir(parents=True, exist_ok=True)
     n_plots = 0
     d_values = []

@@ -14,6 +14,7 @@ import time
 import urllib.parse
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,7 +248,7 @@ def _reference_aggregate(path, project, prefixes, redirect_map):
     counts = {}
     tallies = {"total": 0, "kept": 0, "filter": 0, "title": 0, "malformed": 0}
     digits = re.compile(r"[0-9]+")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for raw in fh:
             tallies["total"] += 1
             line = raw[:-1] if raw.endswith("\n") else raw
@@ -439,23 +440,35 @@ _PROPERTY_HEADS = ["Chain_0", "Chain_1"]
 _PROPERTY_PREFIXES = ("Talk:", "User:")
 # Repeated entries and branches weight the draws towards lines that reach the
 # later rules; without them few lines get past the malformed and project checks.
-_PROPERTY_PROJECTS = st.sampled_from(["en", "en", "en", "en", "fr", "en.m", ""])
-_PROPERTY_TITLES = st.one_of(
-    st.sampled_from(
-        ["Physics", "physics", "Main%20Page", "main_Page", "Caf%C3%A9", "Caf%25C3%25A9"]
-    ),
-    st.sampled_from(["Physics#History", "#History", "%23History", "A|B", "Brack[et", "A%7CB"]),
-    st.sampled_from(["Foo%09Bar", "Nul%00", "%7FDel", "Tab%2509Twice", "Foo%0A"]),
-    st.sampled_from(["Talk:Physics", "User:Someone", "Talk%3APhysics", "talk:Physics", "user:X"]),
-    st.sampled_from([*_PROPERTY_SOURCES, *_PROPERTY_HEADS, "alias_0", "chain_1"]),
-    st.text(alphabet="aZ_%7C#|[:", max_size=6),
+# Fields are raw bytes: some are not UTF-8 (a stray \xff, a cut-off \xe2\x82),
+# which both sides must read as U+FFFD, and some hold U+FFFD itself.
+_PROPERTY_PROJECTS = st.sampled_from(
+    [b"en", b"en", b"en", b"en", b"fr", b"en.m", b"", b"en\xff", b"\xef\xbf\xbd"]
 )
-_PROPERTY_DIGITS = st.integers(0, 10**6).map(str)
+_PROPERTY_TITLES = st.one_of(
+    *(
+        st.sampled_from(group).map(str.encode)
+        for group in (
+            ["Physics", "physics", "Main%20Page", "main_Page", "Caf%C3%A9", "Caf%25C3%25A9"],
+            ["Physics#History", "#History", "%23History", "A|B", "Brack[et", "A%7CB"],
+            ["Foo%09Bar", "Nul%00", "%7FDel", "Tab%2509Twice", "Foo%0A"],
+            ["Talk:Physics", "User:Someone", "Talk%3APhysics", "talk:Physics", "user:X"],
+            [*_PROPERTY_SOURCES, *_PROPERTY_HEADS, "alias_0", "chain_1"],
+        )
+    ),
+    st.text(alphabet="aZ_%7C#|[:", max_size=6).map(str.encode),
+    st.sampled_from(
+        [b"Caf\xc3\xa9", b"caf\xe9", b"X\xe2\x82", b"X\xff", b"X\xef\xbf\xbd", b"\xff", b"Caf%E9"]
+    ),
+    st.binary(max_size=4),
+)
+_PROPERTY_DIGITS = st.integers(0, 10**6).map(lambda n: str(n).encode())
 _PROPERTY_NUMBERS = st.one_of(
     _PROPERTY_DIGITS,
     _PROPERTY_DIGITS,
     _PROPERTY_DIGITS,
-    st.sampled_from(["x5", "-5", "1_0", "²", ""]),
+    # Non-ASCII digits: superscript two, Arabic-Indic three, fullwidth five.
+    st.sampled_from([b"x5", b"-5", b"1_0", b"", b"1\xff", *map(str.encode, "\u00b2\u0663\uff15")]),
 )
 # Project, title, then 1-3 of the three number fields: 3-5 fields a line.
 _PROPERTY_LINES = st.tuples(
@@ -465,12 +478,13 @@ _PROPERTY_LINES = st.tuples(
     _PROPERTY_NUMBERS,
     _PROPERTY_NUMBERS,
     _PROPERTY_NUMBERS,
-).map(lambda parts: " ".join(parts[:2] + parts[3 : parts[2] + 1]))
+).map(lambda parts: b" ".join(parts[:2] + parts[3 : parts[2] + 1]))
+_PROPERTY_ENDS = st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])
 
 
 @st.composite
 def _property_case(draw):
-    """Log lines of 3-5 fields, plus acyclic redirects of at most two hops."""
+    """Log lines of 3-5 fields, each with its end, plus acyclic redirects of at most two hops."""
     redirects = draw(
         st.dictionaries(
             st.sampled_from(_PROPERTY_SOURCES), st.sampled_from(_PROPERTY_TERMINALS), min_size=1
@@ -479,7 +493,8 @@ def _property_case(draw):
     redirects |= draw(
         st.dictionaries(st.sampled_from(_PROPERTY_HEADS), st.sampled_from(sorted(redirects)))
     )
-    return draw(st.lists(_PROPERTY_LINES, min_size=10, max_size=40)), redirects
+    lines = st.tuples(_PROPERTY_LINES, _PROPERTY_ENDS).map(b"".join)
+    return draw(st.lists(lines, min_size=10, max_size=40)), redirects
 
 
 # The reference's tally names and ingest's.
@@ -492,13 +507,15 @@ _TALLY_NAMES = {
 }
 
 
-def _ingest_and_reference(lines, redirect_map):
-    """(ingest's, the reference's) daily counts and line tallies for one log file of lines."""
+def _ingest_and_reference(lines, redirect_map, block):
+    """(ingest's, the reference's) daily counts and line tallies for one log file of
+    lines, which ingest reads block bytes at a time."""
     with tempfile.TemporaryDirectory() as tmp:
         log_path = Path(tmp) / "pagecounts-20070310-060000"
-        log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        log_path.write_bytes(b"".join(lines))
         config = FilterConfig(project="en", namespace_prefixes=_PROPERTY_PREFIXES)
-        store = ingest([log_path], RedirectTable(mapping=dict(redirect_map)), config)
+        with mock.patch.object(logstore, "READ_BLOCK", block):
+            store = ingest([log_path], RedirectTable(mapping=dict(redirect_map)), config)
         ref_counts, ref_tallies = _reference_aggregate(
             log_path, "en", _PROPERTY_PREFIXES, redirect_map
         )
@@ -507,8 +524,8 @@ def _ingest_and_reference(lines, redirect_map):
     return got, ({title: {day: count} for title, count in ref_counts.items()}, ref_tallies)
 
 
-def _differs(lines, redirect_map):
-    got, want = _ingest_and_reference(lines, redirect_map)
+def _differs(lines, redirect_map, block):
+    got, want = _ingest_and_reference(lines, redirect_map, block)
     return got != want
 
 
@@ -516,13 +533,17 @@ def _differs(lines, redirect_map):
 # one file-based ingest per step. A failure names instead the first line that
 # ingest and the reference treat differently on its own.
 @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(case=_property_case())
-def test_ingest_matches_reference_property(case):
+@given(case=_property_case(), block=st.integers(1, 8))
+def test_ingest_matches_reference_property(case, block):
+    """Blocks of a few bytes make lines and \\r\\n pairs straddle the blocks ingest reads."""
     lines, redirect_map = case
-    got, want = _ingest_and_reference(lines, redirect_map)
+    got, want = _ingest_and_reference(lines, redirect_map, block)
     if got != want:
-        alone = next((line for line in lines if _differs([line], redirect_map)), None)
-        pytest.fail(f"first line differing on its own: {alone!r}; ingest {got}, reference {want}")
+        alone = next((line for line in lines if _differs([line], redirect_map, block)), None)
+        pytest.fail(
+            f"first line differing on its own: {alone!r} (blocks of {block} bytes); "
+            f"ingest {got}, reference {want}"
+        )
 
 
 # Well-formed lines over a few titles, so that titles recur across days. Some
@@ -533,7 +554,7 @@ _STORE_LINES = st.tuples(
         ["Physics", "Caf%C3%A9", "Z\u00fcrich", "A%E2%80%A8B", "N%C2%85L", "Alias_0", "Chain_1"]
     ),
     st.integers(0, 10**6),
-).map(lambda parts: f"en {parts[0]} {parts[1]} 1")
+).map(lambda parts: f"en {parts[0]} {parts[1]} 1".encode())
 
 
 @st.composite
@@ -548,7 +569,7 @@ def _store_case(draw):
 # Not shrunk, for the reason given at test_ingest_matches_reference_property.
 @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(case=_store_case(), span=st.integers(1, 3))
-@example(case=({0: ["fr Paris 1 1"], 2: []}, {"Alias_0": "Physics"}), span=1)
+@example(case=({0: [b"fr Paris 1 1"], 2: []}, {"Alias_0": "Physics"}), span=1)
 def test_store_matches_reference_property(case, span):
     """window_totals against brute-force sums of the reference aggregator's per-day
     counts, and save -> load -> save writing the same bytes."""
@@ -561,7 +582,7 @@ def test_store_matches_reference_property(case, span):
         for offset, lines in lines_by_offset.items():
             day = first_day + timedelta(days=offset)
             files.append(tmp / f"pagecounts-{day:%Y%m%d}-000000")
-            files[-1].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            files[-1].write_bytes(b"".join(line + b"\n" for line in lines))
             want[day], _ = _reference_aggregate(files[-1], "en", _PROPERTY_PREFIXES, redirect_map)
         config = FilterConfig(project="en", namespace_prefixes=_PROPERTY_PREFIXES)
         store = ingest(files, RedirectTable(mapping=dict(redirect_map)), config)

@@ -529,6 +529,15 @@ def test_missing_fixture_becomes_exclusion(run_dir, tmp_path):
     assert len(rows) == 1 + 3
 
 
+def test_report_removes_plots_of_unscored_hoax(run_dir, tmp_path):
+    root, config = _copy_run(run_dir, tmp_path)
+    (root / "fixtures" / "Synth_hoax_00.wiki").unlink()
+    for command in ["features", "attention", "report"]:
+        assert cli.main([command, "--config", str(config)]) == 0
+    plots = sorted(p.name for p in (root / "out" / "plots").glob("cohort_*.svg"))
+    assert plots == [f"cohort_Synth_hoax_{i:02d}.svg" for i in range(1, 4)]
+
+
 def _copy_run(run_dir, tmp_path):
     root = tmp_path / "copy"
     shutil.copytree(run_dir, root)
@@ -711,6 +720,24 @@ def test_neighbor_table_holds_empty_articles(run_dir, tmp_path):
     # Two hours a day: daily medians 10 before and 2 after.
     assert float(dv) == (10 - 2) / (10 + 2)
     assert float(d) == float(dv) - float(cohort_mean)
+
+
+def test_article_with_thousands_of_links_is_scored(run_dir, tmp_path):
+    """6,000 links make a neighbors.csv field of 150,000 characters, past the csv
+    module's default field limit; only "!" of them has traffic."""
+    root, config = _copy_run(run_dir, tmp_path)
+    links = "".join(f"[[Link target number {i:05d}]] " for i in range(6000))
+    (root / "fixtures" / "Synth_hoax_00.wiki").write_text(links + "[[!]]", encoding="utf-8")
+    for log in (root / "logs").iterdir():
+        day = log.name.split("-")[1]
+        if log.suffix != ".gz" and day != "20070310":
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"en ! {5 if day < '20070310' else 1} 1\n")
+    for command in ["ingest", "features", "attention"]:
+        assert cli.main([command, "--config", str(config)]) == 0
+    out = root / "out"
+    rows = {r.split(",")[0]: r.split(",") for r in (out / "results.csv").read_text().splitlines()}
+    assert float(rows["Synth_hoax_00"][1]) == (10 - 2) / (10 + 2)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import io
 import multiprocessing
 import os
 import tempfile
+import time
 from array import array
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -64,6 +65,15 @@ def test_filter_config_load(tmp_path):
     config = FilterConfig.load(path)
     assert config.project == "en"
     assert config.namespace_prefixes == ("Talk:", "User:")
+
+
+def test_filter_config_rejects_replacement_character(tmp_path):
+    """Invalid UTF-8 in a project field reads as U+FFFD, so a code holding it would
+    match fields of other bytes than its own; ingest compares bytes."""
+    path = tmp_path / "filter.conf"
+    path.write_text("en\ufffd\nTalk:\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="filter.conf.*U\\+FFFD"):
+        FilterConfig.load(path)
 
 
 def test_redirect_resolve_chain_and_fixpoint():
@@ -177,6 +187,14 @@ def test_ingest_aggregates_and_tallies(tmp_path):
         ("en Foo%09Bar 5 10", "lines_dropped_title"),
         ("en Bell%07 5 10", "lines_dropped_title"),
         ("en Del%7F 5 10", "lines_dropped_title"),
+        # A line also ends at \r\n and at a lone \r.
+        ("en Main_Page 42 1234\r", "lines_kept"),
+        ("en Main_Page 40 1\ren Main_Page 2 1\r", "lines_kept"),
+        ("en Title 5\r10", "lines_malformed"),
+        ("\r", "lines_malformed"),
+        ("\r\r", "lines_malformed"),
+        ("de Berlin 7 100\ren Talk:Physics 3 10", "lines_dropped_filter"),
+        ("en #frag 2 5\ren Foo%09Bar 5 10\r", "lines_dropped_title"),
     ],
 )
 def test_ingest_tallies_line(tmp_path, line, bucket):
@@ -186,6 +204,21 @@ def test_ingest_tallies_line(tmp_path, line, bucket):
     for key in ("lines_kept", "lines_dropped_filter", "lines_dropped_title", "lines_malformed"):
         assert store.tallies[key] == (store.tallies["lines_total"] if key == bucket else 0), key
     assert daily_counts(store) == ({"Main_Page": {d: 42}} if bucket == "lines_kept" else {})
+
+
+def test_ingest_reads_long_line_in_linear_time(tmp_path, monkeypatch):
+    """A 4 MiB line read 64 bytes at a time is joined from its pieces once; copying
+    the part read so far at each of its 65,536 blocks would copy 128 GiB."""
+    monkeypatch.setattr(logstore, "READ_BLOCK", 64)
+    d = date(2007, 3, 10)
+    title = "Long_" + "x" * (4 << 20)
+    path = _write_hour(tmp_path, d, 0, ["en Short 1 1", f"en {title} 7 10\r", "en Short 2 1"])
+    start = time.perf_counter()
+    store = ingest([path], RedirectTable(), CONFIG)
+    elapsed = time.perf_counter() - start
+    assert daily_counts(store) == {title: {d: 7}, "Short": {d: 3}}
+    assert (store.tallies["lines_total"], store.tallies["lines_kept"]) == (3, 3)
+    assert elapsed < 5, f"{elapsed:.1f} s"
 
 
 def test_ingest_rejects_hour_supplied_twice(tmp_path):
