@@ -17,8 +17,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-# Resample rows drawn at once by bootstrap_resample_means.
-BOOTSTRAP_CHUNK = 1024
+# Index cells (resample rows x sample size) bootstrap_resample_means draws at
+# once: 128 KiB per int64 array, whatever the sample size.
+BOOTSTRAP_CELLS = 1 << 14
 
 
 class ZeroMAD(ValueError):
@@ -205,14 +206,16 @@ def bootstrap_resample_means(values, resamples: int = 10000, seed: int = 0) -> n
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     rng = np.random.default_rng(seed)
-    # Rows are drawn BOOTSTRAP_CHUNK at a time to bound memory. The generator
-    # gives the same values as one resamples x n draw, so the means match it.
-    means = []
-    for start in range(0, resamples, BOOTSTRAP_CHUNK):
-        rows = min(BOOTSTRAP_CHUNK, resamples - start)
-        idx = rng.integers(0, arr.size, size=(rows, arr.size))
-        means.append(arr[idx].mean(axis=1))
-    return np.concatenate(means)
+    # Rows are drawn in blocks of at most BOOTSTRAP_CELLS indices (one row when
+    # a row alone holds more), so memory does not grow with the sample. The
+    # generator gives the same values as one resamples x n draw, so the means match it.
+    block = max(1, BOOTSTRAP_CELLS // arr.size)
+    means = np.empty(resamples)
+    for start in range(0, resamples, block):
+        stop = min(start + block, resamples)
+        idx = rng.integers(0, arr.size, size=(stop - start, arr.size))
+        means[start:stop] = arr[idx].mean(axis=1)
+    return means
 
 
 def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> BootstrapSummary:

@@ -172,10 +172,6 @@ def _iter_csv(path: Path, what: str, width: int, stage: str = "the earlier pipel
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _read_csv(path: Path, what: str, width: int) -> list[tuple[int, list[str]]]:
-    return list(_iter_csv(path, what, width))
-
-
 def _csv_float(path: Path, lineno: int, text: str) -> float:
     try:
         value = float(text)
@@ -313,16 +309,26 @@ def cmd_cohort(cfg: RunConfig) -> int:
 
 
 def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dict[str, str]]:
-    """Cohort membership and carried-over exclusions from the cohort stage."""
+    """Cohort membership and carried-over exclusions from the cohort stage.
+
+    The table is streamed, its titles interned, as one member recurs in the
+    cohort of every hoax created the same day, and each distinct date parsed once.
+    """
     path = out / COHORTS_CSV
     creation: dict[str, date] = {}
     members: dict[str, list[str]] = {}
-    for lineno, (hoax_title, day_s, member_title) in _read_csv(path, "cohort table", 3):
-        try:
-            creation[hoax_title] = date.fromisoformat(day_s)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad creation date {day_s!r}") from None
-        members.setdefault(hoax_title, []).append(member_title)
+    days: dict[str, date] = {}
+    intern = sys.intern
+    for lineno, (hoax_title, day_s, member_title) in _iter_csv(path, "cohort table", 3, "cohort"):
+        day = days.get(day_s)
+        if day is None:
+            try:
+                day = days[day_s] = date.fromisoformat(day_s)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: bad creation date {day_s!r}") from None
+        hoax_title = intern(hoax_title)
+        creation[hoax_title] = day
+        members.setdefault(hoax_title, []).append(intern(member_title))
     excluded = {
         title: reason
         for _, (title, reason) in _iter_csv(out / COHORT_EXCLUSIONS_CSV, "cohort exclusions", 2)
@@ -462,15 +468,17 @@ def _read_neighbors(out: Path) -> dict[str, list[str]]:
             raise InputError(f"{path}:{lineno}: empty or repeated title {title!r}")
         if not all(a < b for a, b in zip(names, names[1:])) or "" in names:
             raise InputError(f"{path}:{lineno}: neighbors not sorted, distinct and non-empty")
-        neighbors[title] = names
+        neighbors[intern(title)] = names
     return neighbors
 
 
-def cmd_attention(cfg: RunConfig) -> int:
-    from . import attention, logstore, svgplot
+def _score_run(cfg: RunConfig, out: Path) -> tuple[int, list, list[list[str]]]:
+    """The number of hoaxes, and the results and exclusions of scoring them over
+    the traffic store with the tables of the earlier stages. Only what is
+    returned outlives the call, so the store and the tables are freed before
+    the bootstrap."""
+    from . import attention, logstore
 
-    out = cfg.out_dir()
-    _unlink(*(out / name for name in ATTENTION_OUTPUTS))
     store_dir = cfg.store_dir()
     if not (store_dir / logstore.MANIFEST_NAME).exists():
         raise InputError(f"missing traffic store: {store_dir} (run ingest first)")
@@ -493,18 +501,28 @@ def cmd_attention(cfg: RunConfig) -> int:
     results, exclusions, _ = attention.score_hoaxes(
         store, cfg.span, [h.title for h in hoaxes], creation, members, cohort_excluded, neighbors
     )
-    member_rows = [[r.hoax_score.title, s.title, s.delta_v] for r in results for s in r.cohort_scores]
-    result_rows = [
+    return len(hoaxes), results, exclusions
+
+
+def cmd_attention(cfg: RunConfig) -> int:
+    from . import attention, svgplot
+
+    out = cfg.out_dir()
+    _unlink(*(out / name for name in ATTENTION_OUTPUTS))
+    n_hoaxes, results, exclusions = _score_run(cfg, out)
+    _write_csv(out / RESULTS_CSV, RESULTS_HEADER, (
         [r.hoax_score.title, r.hoax_score.delta_v, r.cohort_mean, r.cohort_n, r.d]
         for r in results
-    ]
-    _write_csv(out / RESULTS_CSV, RESULTS_HEADER, result_rows)
-    _write_csv(out / COHORT_SCORES_CSV, ["hoax_title", "member_title", "delta_v"], member_rows)
+    ))
+    _write_csv(out / COHORT_SCORES_CSV, ["hoax_title", "member_title", "delta_v"], (
+        [r.hoax_score.title, s.title, s.delta_v] for r in results for s in r.cohort_scores
+    ))
     _write_csv(out / ATTENTION_EXCLUSIONS_CSV, ["hoax_title", "reason"], exclusions)
     d_values = [r.d for r in results]
+    del results  # the cohort scores are written; free them before the bootstrap
     summary: dict = {
-        "n_hoaxes": len(hoaxes),
-        "n_results": len(results),
+        "n_hoaxes": n_hoaxes,
+        "n_results": len(d_values),
         "n_excluded": len(exclusions),
         "d_positive": sum(1 for d in d_values if d > 0),
         "seed": cfg.seed,
@@ -522,7 +540,7 @@ def cmd_attention(cfg: RunConfig) -> int:
     _write_json(out / SUMMARY_JSON, summary)
     mean_s = f"{summary['sample_mean']:.4f}" if d_values else "n/a"
     print(
-        f"attention scores for {len(results)} hoaxes "
+        f"attention scores for {len(d_values)} hoaxes "
         f"({summary['d_positive']} with D > 0, mean D {mean_s}), "
         f"{len(exclusions)} excluded"
     )
@@ -562,8 +580,11 @@ def cmd_report(cfg: RunConfig) -> int:
     _unlink(*plots.glob("cohort_*.svg"), plots / "d_histogram.svg")
     results_path = out / RESULTS_CSV
     scores_path = out / COHORT_SCORES_CSV
-    results = _read_csv(results_path, "attention results", len(RESULTS_HEADER))
-    scores = _read_csv(scores_path, "cohort scores", 3)
+    # Read whole, so that a malformed row stops the stage before any plot is written.
+    results = list(_iter_csv(results_path, "attention results", len(RESULTS_HEADER)))
+    member_scores: dict[str, list[float]] = {}
+    for lineno, (hoax_title, _, dv) in _iter_csv(scores_path, "cohort scores", 3):
+        member_scores.setdefault(hoax_title, []).append(_csv_float(scores_path, lineno, dv))
     mean, ci = _read_summary(out / SUMMARY_JSON)
 
     def histogram(values, path: Path):
@@ -572,9 +593,6 @@ def cmd_report(cfg: RunConfig) -> int:
         except ValueError as exc:  # a span of values too wide to bin
             raise InputError(f"{path}: {exc}") from None
 
-    member_scores: dict[str, list[float]] = {}
-    for lineno, (hoax_title, _, dv) in scores:
-        member_scores.setdefault(hoax_title, []).append(_csv_float(scores_path, lineno, dv))
     plots.mkdir(parents=True, exist_ok=True)
     n_plots = 0
     d_values = []

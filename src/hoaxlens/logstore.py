@@ -31,6 +31,7 @@ import gzip
 import logging
 import re
 import sys
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
@@ -164,6 +165,8 @@ def file_hour(path: str | Path) -> datetime:
 # RSS by 2-4% on inputs of small logs (0.3-0.5 MB; Python 3.11, 2-vCPU VM).
 READ_BLOCK = 1 << 16
 
+INT64_MAX = 2**63 - 1
+
 _MISS = object()
 # The memo's outcome for a raw title whose cleaned form a namespace prefix drops.
 _NAMESPACE = object()
@@ -232,6 +235,8 @@ def _ingest_file(
     restarts at every ASCII byte. Tally precedence: malformed, then project
     filter, then title Discard, then namespace filter (checked on the cleaned
     title). ``memo`` keeps each raw title's outcome from ``_title_outcome``.
+    Raises ValueError, naming the file, when a title's views in it pass the
+    int64 range.
     """
     counts: dict[str, int] = {}
     project_code = config.project.encode()
@@ -240,30 +245,38 @@ def _ingest_file(
     opener = gzip.open if path.suffix == ".gz" else open
     counts_get = counts.get
     memo_get = memo.get
-    with opener(path, "rb") as fh:
-        for lines in _line_blocks(fh):
-            total += len(lines)
-            for line in lines:
-                parts = line.split(b" ")
-                if len(parts) != 4:
-                    malformed += 1
-                    continue
-                project, raw_title, count_s, bytes_s = parts
-                if not (count_s.isdigit() and bytes_s.isdigit() and project and raw_title):
-                    malformed += 1
-                    continue
-                if project != project_code:
-                    dropped_filter += 1
-                    continue
-                target = memo_get(raw_title, _MISS)
-                if target is _MISS:
-                    target = memo[raw_title] = _title_outcome(raw_title, prefixes, flat_redirects)
-                if target is None:
-                    dropped_title += 1
-                elif target is _NAMESPACE:
-                    dropped_filter += 1
-                else:
-                    counts[target] = counts_get(target, 0) + int(count_s)
+    try:
+        with opener(path, "rb") as fh:
+            for lines in _line_blocks(fh):
+                total += len(lines)
+                for line in lines:
+                    parts = line.split(b" ")
+                    if len(parts) != 4:
+                        malformed += 1
+                        continue
+                    project, raw_title, count_s, bytes_s = parts
+                    if not (count_s.isdigit() and bytes_s.isdigit() and project and raw_title):
+                        malformed += 1
+                        continue
+                    if project != project_code:
+                        dropped_filter += 1
+                        continue
+                    target = memo_get(raw_title, _MISS)
+                    if target is _MISS:
+                        target = _title_outcome(raw_title, prefixes, flat_redirects)
+                        memo[raw_title] = target
+                    if target is None:
+                        dropped_title += 1
+                    elif target is _NAMESPACE:
+                        dropped_filter += 1
+                    else:
+                        counts[target] = counts_get(target, 0) + int(count_s)
+    except ValueError:  # int() refuses a count of more than sys.get_int_max_str_digits() digits
+        raise ValueError(f"{path}: a view count exceeds the int64 range") from None
+    # One check per file, not per line: the counts are non-negative, so a count
+    # beyond int64 leaves its title's sum beyond it too.
+    if counts and max(counts.values()) > INT64_MAX:
+        raise ValueError(f"{path}: a view count exceeds the int64 range")
     kept = total - dropped_filter - dropped_title - malformed
     return counts, FileTally(path.name, total, kept, dropped_filter, dropped_title, malformed)
 
@@ -276,14 +289,15 @@ def _read_batch(
 ) -> tuple[dict[str, int], list[FileTally | str]]:
     """Summed counts of hourly files of one day, and each file's tally or error message.
 
-    A file that cannot be read, even part way through, adds no counts.
+    A file that cannot be read, even part way through, such as a gzip file
+    whose deflate stream is damaged, adds no counts.
     """
     counts: dict[str, int] = {}
     outcomes: list[FileTally | str] = []
     for path in paths:
         try:
             file_counts, tally = _ingest_file(path, config, memo, flat_redirects)
-        except (OSError, EOFError) as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             outcomes.append(str(exc))
             continue
         outcomes.append(tally)
@@ -334,6 +348,9 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     file_tallies: list[FileTally] = []
     unreadable: list[str] = []
     days_seen: list[date] = []
+    # Counts from a worker process hold its own copy of each title; keyed again
+    # through one title -> title map, they keep one str per title across the days.
+    share = {}.setdefault
     # Each worker process, or this one when there is one worker, keeps one title memo.
     results = forkpool.ordered_map(
         _read_batch, [batch for _, batch in batches], workers, (config, {}, flat)
@@ -346,6 +363,8 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
             else:
                 file_tallies.append(outcome)
                 days_seen.append(day)
+        if workers > 1:
+            counts = dict(zip(map(share, counts, counts), counts.values()))
         day_counts = by_day.setdefault(day, counts)
         if day_counts is not counts:
             for title, c in counts.items():
@@ -357,7 +376,7 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     for key in TALLY_KEYS[2:]:
         tallies[key] = sum(getattr(t, key) for t in file_tallies)
     # Python ints do not overflow; past this check no sum of views overflows int64.
-    if sum(sum(counts.values()) for counts in by_day.values()) > 2**63 - 1:
+    if sum(sum(counts.values()) for counts in by_day.values()) > INT64_MAX:
         raise ValueError("total views exceed the int64 range")
     start, end = min(days_seen), max(days_seen)
     days = (end - start).days + 1

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoaxlens.attention import (
-    BOOTSTRAP_CHUNK,
+    BOOTSTRAP_CELLS,
     AttentionScore,
     EmptyCohortScores,
     WrongWindowLength,
@@ -248,15 +248,44 @@ def test_bootstrap_resample_means_match_summary():
     assert np.array_equal(summary.means, means)
 
 
-@pytest.mark.parametrize("n", [1, 7, 400])
+@pytest.mark.parametrize("n", [1, 7, 400, BOOTSTRAP_CELLS + 5])
 @pytest.mark.parametrize("seed", [0, 1, 2**63])
 def test_bootstrap_chunked_draw_matches_one_shot(n, seed):
     values = np.random.default_rng(n).normal(size=n)
-    resamples = 2 * BOOTSTRAP_CHUNK + 3
+    # Two full blocks and a short third one; one row per block when n passes the budget.
+    resamples = 2 * max(1, BOOTSTRAP_CELLS // n) + 3
     rng = np.random.default_rng(seed)
     one_shot = values[rng.integers(0, n, size=(resamples, n))].mean(axis=1)
     means = bootstrap_resample_means(values, resamples=resamples, seed=seed)
     assert means.tobytes() == one_shot.tobytes()
+
+
+@pytest.mark.parametrize("budget", [BOOTSTRAP_CELLS, 64, 5])
+@pytest.mark.parametrize("n", [1, 3, 7, 400])
+def test_bootstrap_blocks_stay_within_the_cell_budget(monkeypatch, budget, n):
+    values = np.random.default_rng(n).normal(size=n)
+    resamples = 3 * max(1, budget // n) + 1  # four blocks
+    expected = bootstrap_resample_means(values, resamples=resamples, seed=11)
+    monkeypatch.setattr("hoaxlens.attention.BOOTSTRAP_CELLS", budget)
+    sizes = []
+    make_rng = np.random.default_rng
+
+    class Recorder:  # records the size of each index block the generator draws
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def integers(self, *args, size=None, **kwargs):
+            sizes.append(size)
+            return self._rng.integers(*args, size=size, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    means = bootstrap_resample_means(values, resamples=resamples, seed=11)
+    assert means.tobytes() == expected.tobytes()
+    assert len(sizes) == 4
+    assert sum(rows for rows, _ in sizes) == resamples
+    for rows, cols in sizes:
+        assert cols == n
+        assert rows * n <= budget or rows == 1
 
 
 # --- score_hoaxes against a brute-force scorer --------------------------------

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import gzip
 import json
 import os
 import shutil
@@ -178,21 +179,75 @@ def test_missing_config_is_input_error(tmp_path):
     ],
 )
 def test_ingest_input_errors_exit_1(tmp_path, capsys, overrides, logs, offender):
+    config = _ingest_run(tmp_path, overrides, logs)
+    rc = cli.main(["ingest", "--config", str(config)])
+    assert rc == 1
+    assert offender in capsys.readouterr().err
+
+
+def _ingest_run(root, overrides, logs="logs"):
+    """Write one good log, a filter and a redirect table, then the overrides
+    (text or bytes by name) under root; returns the config path."""
     inputs = {
         "logs/pagecounts-20070310-000000": "en Physics 5 10\n",
         "filter.conf": "en\nTalk:\n",
         "redirects.tsv": "Old\tNew\n",
         **overrides,
     }
-    for name, text in inputs.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
-    config = tmp_path / "config.json"
+    for name, data in inputs.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        if isinstance(data, bytes):
+            (root / name).write_bytes(data)
+        else:
+            (root / name).write_text(data)
+    config = root / "config.json"
     keys = {"filter_config": "filter.conf", "redirect_table": "redirects.tsv", "out": "out"}
     config.write_text(json.dumps({"logs": logs, **keys}))
-    rc = cli.main(["ingest", "--config", str(config)])
-    assert rc == 1
-    assert offender in capsys.readouterr().err
+    return config
+
+
+def _damaged_gzip_log() -> bytes:
+    """20,000 lines in two gzip members, the second with its first deflate block
+    marked with the reserved block type, so reading fails with zlib.error after
+    the first member's lines."""
+    text = "".join(f"en Title_{i % 997} {i % 13} 10\n" for i in range(20_000)).encode()
+    half = len(text) // 2
+    damaged = bytearray(gzip.compress(text[half:], mtime=0))
+    damaged[10] |= 0b110  # the deflate stream follows the 10-byte header
+    return gzip.compress(text[:half], mtime=0) + bytes(damaged)
+
+
+def test_damaged_gzip_log_is_skipped_as_unreadable(tmp_path):
+    bad = "pagecounts-20070310-010000.gz"
+    config = _ingest_run(tmp_path, {f"logs/{bad}": _damaged_gzip_log()})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+    assert report["unreadable"] == [bad]
+    assert report["tallies"]["files_unreadable"] == 1
+    assert report["tallies"]["files_processed"] == 1
+    assert report["tallies"]["lines_kept"] == 1
+    store = logstore.load_store(tmp_path / "out" / "store")
+    assert store.titles == ["Physics"]
+    assert store.views.tolist() == [5]
+
+
+@pytest.mark.parametrize(
+    "count, offender",
+    [
+        ("9" * 30, "pagecounts-20070310-010000"),
+        ("9" * 5000, "pagecounts-20070310-010000"),
+        (str(2**63 - 1), "total views"),
+    ],
+    ids=["beyond_int64", "beyond_int_digit_limit", "sum_beyond_int64"],
+)
+def test_count_beyond_int64_is_input_error(tmp_path, capsys, count, offender):
+    """A count beyond int64 names its log; counts that pass it only when two
+    files are added together stop at the total."""
+    config = _ingest_run(tmp_path, {"logs/pagecounts-20070310-010000": f"en Physics {count} 10\n"})
+    assert cli.main(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert offender in err
+    assert "int64 range" in err
 
 
 def test_report_before_attention_names_missing_file(tmp_path, capsys):
@@ -859,6 +914,37 @@ def test_missing_cohort_exclusions_is_input_error(run_dir, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert str(path) in err
     assert "run the earlier pipeline stage first" in err
+
+
+def _cohort_tables(out, rows):
+    out.mkdir()
+    (out / "cohorts.csv").write_text("hoax_title,creation_date,member_title\n" + rows)
+    (out / "cohort_exclusions.csv").write_text("hoax_title,reason\nH9,empty_cohort\n")
+
+
+def test_read_cohorts_shares_titles_and_dates(tmp_path):
+    """A member listed under several hoaxes, and a day several hoaxes share,
+    are each one object."""
+    out = tmp_path / "out"
+    rows = "".join(f"{h},2007-03-10,{m}\n" for h in ("H1", "H2") for m in ("M1", "M2"))
+    _cohort_tables(out, rows + "H3,2007-03-11,M1\n")
+    creation, members, excluded = cli._read_cohorts(out)
+    assert members == {"H1": ["M1", "M2"], "H2": ["M1", "M2"], "H3": ["M1"]}
+    assert members["H1"][0] is members["H2"][0] is members["H3"][0]
+    assert members["H1"][1] is members["H2"][1]
+    assert creation["H1"] is creation["H2"]
+    assert creation["H3"].isoformat() == "2007-03-11"
+    assert excluded == {"H9": "empty_cohort"}
+
+
+def test_read_cohorts_names_bad_date_line_and_missing_stage(tmp_path):
+    out = tmp_path / "out"
+    _cohort_tables(out, "H1,2007-03-10,M1\nH1,2007-03-10,M2\nH2,2007-03-32,M1\n")
+    with pytest.raises(cli.InputError, match=r"cohorts\.csv:4: bad creation date '2007-03-32'"):
+        cli._read_cohorts(out)
+    (out / "cohorts.csv").unlink()
+    with pytest.raises(cli.InputError, match=r"missing cohort table: .*\(run cohort first\)"):
+        cli._read_cohorts(out)
 
 
 def test_score_cache_counts(run_dir):
