@@ -245,8 +245,10 @@ def cmd_ingest(cfg: RunConfig) -> int:
     _unlink(cfg.out_dir() / INGEST_REPORT, *(cfg.store_dir() / n for n in logstore.STORE_FILES))
     try:
         filter_cfg = logstore.FilterConfig.load(filter_path)
-        table = logstore.RedirectTable.load(redirect_path)
-        store = logstore.ingest(files, table, filter_cfg)
+        # Checks the whole table before any log is read, keeping no row; ingest
+        # loads only the rows the logged titles reach.
+        logstore.RedirectTable.load(redirect_path, sources=())
+        store = logstore.ingest(files, redirect_path, filter_cfg)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     out = cfg.out_dir()

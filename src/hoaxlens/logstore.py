@@ -1,4 +1,4 @@
-r"""Hourly traffic-log ingestion: parse, clean, filter, resolve redirects, aggregate per day.
+r"""Hourly traffic-log ingestion: parse, clean, filter, aggregate per day, fold redirects.
 
 Input files follow the classic pagecount dump layout: one line per (project, title)
 with space-separated fields ``project title count bytes`` and the UTC hour encoded
@@ -8,8 +8,14 @@ Each file is read as bytes, ``READ_BLOCK`` at a time, and split into lines at
 ``\n``, ``\r\n`` or a lone ``\r``, the line ends of text mode. The fields are
 checked as bytes: the count and bytes fields must be ASCII digits, and the
 project must equal the configured code's UTF-8 bytes. Only a title is decoded,
-as UTF-8 with U+FFFD for each invalid sequence, and each worker cleans and
-redirect-folds a distinct raw title once.
+as UTF-8 with U+FFFD for each invalid sequence, and each worker cleans a
+distinct raw title once.
+
+Redirects are folded after counting: once the last file is read, each logged
+title that the redirect table holds as a source has its daily counts added to
+those of its final target, as the store's arrays are built. Given the table's
+path, ``ingest`` loads only the rows reachable from the logged titles, so the
+table's memory grows with the titles in the logs, not with the table.
 
 ``ingest`` reads the hourly files in parallel through ``forkpool``, at most one
 worker process per file and one per MiB of input, and merges their counts in
@@ -205,24 +211,22 @@ def _line_blocks(fh) -> Iterator[list[bytes]]:
         yield [b"".join(pending)]
 
 
-def _title_outcome(
-    raw_title: bytes, prefixes: tuple[str, ...], flat_redirects: dict[str, str]
-) -> str | None | object:
-    """The redirect-folded clean title of a raw title, None when cleaning discards
-    it, or _NAMESPACE when a namespace prefix drops it."""
+def _title_outcome(raw_title: bytes, prefixes: tuple[str, ...]) -> str | None | object:
+    """The clean title of a raw title, None when cleaning discards it, or
+    _NAMESPACE when a namespace prefix drops it. Redirects are not followed here:
+    ``ingest`` folds them after counting."""
     cleaned = clean_title(raw_title.decode("utf-8", "replace"))
     if cleaned is None:
         return None
     if cleaned.startswith(prefixes):
         return _NAMESPACE
-    return flat_redirects.get(cleaned, cleaned)
+    return cleaned
 
 
 def _ingest_file(
     path: Path,
     config: FilterConfig,
     memo: dict[bytes, str | None | object],
-    flat_redirects: dict[str, str],
 ) -> tuple[dict[str, int], FileTally]:
     """Aggregate one hourly file into title -> count; tallies every line once.
 
@@ -263,7 +267,7 @@ def _ingest_file(
                         continue
                     target = memo_get(raw_title, _MISS)
                     if target is _MISS:
-                        target = _title_outcome(raw_title, prefixes, flat_redirects)
+                        target = _title_outcome(raw_title, prefixes)
                         memo[raw_title] = target
                     if target is None:
                         dropped_title += 1
@@ -285,7 +289,6 @@ def _read_batch(
     paths: list[Path],
     config: FilterConfig,
     memo: dict[bytes, str | None | object],
-    flat_redirects: dict[str, str],
 ) -> tuple[dict[str, int], list[FileTally | str]]:
     """Summed counts of hourly files of one day, and each file's tally or error message.
 
@@ -296,7 +299,7 @@ def _read_batch(
     outcomes: list[FileTally | str] = []
     for path in paths:
         try:
-            file_counts, tally = _ingest_file(path, config, memo, flat_redirects)
+            file_counts, tally = _ingest_file(path, config, memo)
         except (OSError, EOFError, zlib.error) as exc:
             outcomes.append(str(exc))
             continue
@@ -310,8 +313,9 @@ def _read_batch(
     return counts, outcomes
 
 
-def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
-    """Build a TrafficStore from hourly files.
+def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> TrafficStore:
+    """Build a TrafficStore from hourly files and a redirect table, in memory or
+    the path of its TSV.
 
     Unreadable files are recorded and skipped; the pipeline continues. A file
     that fails mid-read contributes nothing (its partial counts are discarded).
@@ -320,6 +324,14 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     (such as a plain and a gzipped copy), which would count that hour twice.
     Files are read in parallel (see the module docstring); their counts are
     merged as they arrive, in input order.
+
+    After the last file, each counted title that the table holds as a source
+    adds its counts to its resolution's (``RedirectTable.resolve``) as the
+    arrays are built. A table given by path is loaded then, with
+    ``RedirectTable.load(path, sources=<counted titles>)``, so only the rows
+    those titles reach are read into memory; a bad row raises its ValueError
+    only then, so a caller that must fail before reading any log checks the
+    file first with ``sources=()``.
     """
     paths = [Path(p) for p in files]
     if not paths:
@@ -330,7 +342,6 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
         if hour in hours:
             raise ValueError(f"hour {hour:%Y-%m-%d %H}:00 supplied twice: {hours[hour]} and {path}")
         hours[hour] = path
-    flat = table.flattened()
     size = sum(p.stat().st_size for p in hours.values() if p.is_file())
     workers = forkpool.worker_count(len(hours), size, MIN_BYTES_PER_WORKER)
     # A worker sums the consecutive files of one day it reads as one batch,
@@ -353,7 +364,7 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     share = {}.setdefault
     # Each worker process, or this one when there is one worker, keeps one title memo.
     results = forkpool.ordered_map(
-        _read_batch, [batch for _, batch in batches], workers, (config, {}, flat)
+        _read_batch, [batch for _, batch in batches], workers, (config, {})
     )
     for (day, batch), (counts, outcomes) in zip(batches, results, strict=True):
         for path, outcome in zip(batch, outcomes, strict=True):
@@ -370,17 +381,36 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
             for title, c in counts.items():
                 prev = day_counts.get(title)
                 day_counts[title] = c if prev is None else prev + c
+    del share  # one entry per title, of no use past the merge
     if not days_seen:
         raise ValueError(f"no readable input files: {', '.join(unreadable)}")
     tallies = {"files_processed": len(file_tallies), "files_unreadable": len(unreadable)}
     for key in TALLY_KEYS[2:]:
         tallies[key] = sum(getattr(t, key) for t in file_tallies)
-    # Python ints do not overflow; past this check no sum of views overflows int64.
+    # Python ints do not overflow; past this check no sum of views, folded or
+    # not, overflows int64.
     if sum(sum(counts.values()) for counts in by_day.values()) > INT64_MAX:
         raise ValueError("total views exceed the int64 range")
     start, end = min(days_seen), max(days_seen)
     days = (end - start).days + 1
-    titles = sorted(set().union(*by_day.values()))
+    # The fold: alias -> resolution for each counted title the table holds as a
+    # source. What the array build, the stage's peak, does not use is freed first.
+    seen = set().union(*by_day.values())
+    if not isinstance(table, RedirectTable):
+        table = RedirectTable.load(table, sources=seen)
+    flat = table.flattened(seen)
+    del table
+    # A resolution is never itself a source that resolves elsewhere, so each
+    # stored title sums its own counts and those of its aliases, if it has any.
+    folds: dict[str, list[str]] = {}
+    for alias, target in flat.items():
+        if alias != target:
+            folds.setdefault(target, [target]).append(alias)
+            seen.discard(alias)
+            seen.add(target)
+    del flat
+    titles = sorted(seen)
+    del seen
     # Title by title, and each title's days in order, gives the keys ascending.
     day_counts = [((day - start).days, by_day[day].get) for day in sorted(by_day)]
     # Imported here: attention, which never builds a store, need not map the module.
@@ -389,11 +419,19 @@ def ingest(files, table: RedirectTable, config: FilterConfig) -> TrafficStore:
     keys, views = array("q"), array("q")
     for row, title in enumerate(titles):
         first_key = row * days
+        names = folds.get(title)
+        if names is None:
+            for offset, count_of in day_counts:
+                count = count_of(title)
+                if count is not None:
+                    keys.append(first_key + offset)
+                    views.append(count)
+            continue
         for offset, count_of in day_counts:
-            count = count_of(title)
-            if count is not None:
+            found = [count for count in map(count_of, names) if count is not None]
+            if found:
                 keys.append(first_key + offset)
-                views.append(count)
+                views.append(sum(found))
     return TrafficStore(
         coverage_start=start,
         coverage_end=end,

@@ -6,11 +6,11 @@ importing numpy.
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection, Container
 from urllib.parse import unquote
 
 log = logging.getLogger(__name__)
@@ -57,6 +57,43 @@ def fixture_filename(title: str, suffix: str) -> str:
     return title.replace("/", "%2F") + suffix
 
 
+def _read_rows(path: str | Path, wanted: Container[str] | None) -> tuple[dict[str, str], int]:
+    """The rows of a redirect TSV whose source is in wanted, or every row when
+    it is None, as source -> target, and the number of rows in the file.
+
+    The file is streamed. Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as
+    in text mode, blank lines are skipped, and a later row for a source replaces
+    an earlier one. Bytes that are not UTF-8, wherever they are, raise ValueError
+    naming their line, counted in ``\n`` bytes. Otherwise the first row that is
+    not two non-empty fields raises ValueError naming its line.
+    """
+    kept: dict[str, str] = {}
+    rows = bad_row = 0
+    try:
+        with open(path, encoding="utf-8", newline=None) as fh:
+            for lineno, line in enumerate(fh, 1):
+                source, tab, target = line.rstrip("\n").partition("\t")
+                if not (source or tab):
+                    continue
+                if not (source and target) or "\t" in target:
+                    bad_row = bad_row or lineno
+                    continue
+                rows += 1
+                if wanted is None or source in wanted:
+                    kept[source] = target
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+        raise
+    if bad_row:
+        raise ValueError(f"{path}:{bad_row}: expected source<TAB>target")
+    return kept, rows
+
+
 @dataclass
 class RedirectTable:
     """Source -> target mapping over cleaned titles."""
@@ -64,27 +101,37 @@ class RedirectTable:
     mapping: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path: str | Path) -> "RedirectTable":
-        """Two-column TSV ``source<TAB>target``; blank lines skipped.
+    def load(cls, path: str | Path, sources: Collection[str] | None = None) -> "RedirectTable":
+        """Two-column TSV ``source<TAB>target``; blank lines skipped, and a later
+        row for a source replaces an earlier one.
+
+        With sources, only the rows reachable from them are kept, so that
+        ``resolve`` gives each of them its resolution in the whole table. A first
+        pass over the file keeps the rows of the sources. Each further pass keeps
+        the rows of the new targets of the last pass's rows, those neither among
+        the sources nor looked for before. Passes stop when there are none, or
+        after ``MAX_REDIRECT_HOPS + 1``, which is as far as ``resolve`` follows a
+        chain.
+        ``sources=()`` checks the file and keeps no rows. With non-empty sources,
+        logs at INFO how many rows it kept.
 
         A row that is not two non-empty fields, or bytes that are not UTF-8,
-        raise ValueError naming the file and line.
+        raise ValueError naming the file and line (see ``_read_rows``).
         """
-        data = Path(path).read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
-        mapping: dict[str, str] = {}
-        for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                raise ValueError(f"{path}:{lineno}: expected source<TAB>target")
-            mapping[cols[0]] = cols[1]
+        mapping, rows = _read_rows(path, sources)
+        if sources is None:
+            return cls(mapping=mapping)
+        passes = 1
+        looked: set[str] = set()
+        frontier = {t for t in mapping.values() if t not in sources}
+        while frontier and passes <= MAX_REDIRECT_HOPS:
+            looked |= frontier
+            found, _ = _read_rows(path, frontier)
+            passes += 1
+            mapping.update(found)
+            frontier = {t for t in found.values() if t not in sources and t not in looked}
+        if sources:
+            log.info("kept %d of %d redirect rows in %d passes", len(mapping), rows, passes)
         return cls(mapping=mapping)
 
     def resolve(self, title: str) -> str:
@@ -106,6 +153,7 @@ class RedirectTable:
             current = target
         return current
 
-    def flattened(self) -> dict[str, str]:
-        """Every source mapped directly to its final resolution."""
-        return {source: self.resolve(source) for source in self.mapping}
+    def flattened(self, titles: Collection[str] | None = None) -> dict[str, str]:
+        """Every source, or each of titles that is a source, mapped directly to
+        its final resolution."""
+        return {s: self.resolve(s) for s in self.mapping if titles is None or s in titles}

@@ -52,9 +52,12 @@ _EXT_BRACKET_OPEN_RE = re.compile(r"\[(?:https?|ftp)://[^\]\n]*", re.I)
 _BARE_URL_RE = re.compile(
     r"://(?:(?<=\bhttp://)|(?<=\bhttps://)|(?<=\bftp://))[^\s\]]+", re.I
 )
-_HEADING_RE = re.compile(r"^={1,6}\s*(.*?)\s*=*\s*$", re.M)
+# Both start with a literal, which the search skips ahead to instead of trying a
+# match at every character: a heading's first "=", whose lookbehind keeps the
+# line-start anchor, and a run of three newlines.
+_HEADING_RE = re.compile(r"=(?<=^=)={0,5}\s*(.*?)\s*=*\s*$", re.M)
 _HTML_TAG_RE = re.compile(r"</?[A-Za-z][^>\n]*>")
-_EXCESS_NEWLINES_RE = re.compile(r"\n{3,}")
+_EXCESS_NEWLINES_RE = re.compile(r"\n\n\n+")
 
 # Link targets that are organizational, not topical: category/media plus
 # interlanguage prefixes (lowercase 2-3 letter language codes).

@@ -167,6 +167,15 @@ def test_missing_config_is_input_error(tmp_path):
         ({"logs/pagecounts-20070310-000000.gz": ""}, "logs", "pagecounts-20070310-000000.gz"),
         ({"logs/pagecounts-20090302-250000": ""}, "logs", "pagecounts-20090302-250000"),
         ({"logs/pagecounts-20090230-010000": ""}, "logs", "pagecounts-20090230-010000"),
+        # Each alias's views are in range in the file; folded into New they are not.
+        (
+            {
+                "logs/pagecounts-20070310-000000": f"en Old {2**62} 10\nen Older {2**62} 10\n",
+                "redirects.tsv": "Old\tNew\nOlder\tNew\n",
+            },
+            "logs",
+            "int64 range",
+        ),
     ],
     ids=[
         "non_hourly_file",
@@ -176,6 +185,7 @@ def test_missing_config_is_input_error(tmp_path):
         "hour_twice",
         "no_such_hour",
         "no_such_date",
+        "aliases_sum_beyond_int64",
     ],
 )
 def test_ingest_input_errors_exit_1(tmp_path, capsys, overrides, logs, offender):
@@ -248,6 +258,46 @@ def test_count_beyond_int64_is_input_error(tmp_path, capsys, count, offender):
     err = capsys.readouterr().err
     assert offender in err
     assert "int64 range" in err
+
+
+@pytest.mark.parametrize("end", ["", "\n"], ids=["no_final_newline", "final_newline"])
+def test_bad_last_redirect_row_stops_before_any_log_is_read(tmp_path, capsys, monkeypatch, end):
+    def read_logs(*args):
+        raise AssertionError("ingest read the logs")
+
+    monkeypatch.setattr(logstore, "ingest", read_logs)
+    config = _ingest_run(tmp_path, {"redirects.tsv": "Old\tNew\nA\tB\nBroken" + end})
+    assert cli.main(["ingest", "--config", str(config)]) == 1
+    assert "redirects.tsv:3: expected source<TAB>target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("logged, warned", [("Physics", False), ("Loop_a", True)])
+def test_redirect_cycle_warns_only_when_a_logged_title_reaches_it(
+    tmp_path, caplog, logged, warned
+):
+    table = "Loop_a\tLoop_b\nLoop_b\tLoop_a\nOld\tNew\n"
+    log = f"en {logged} 5 10\n"
+    config = _ingest_run(tmp_path, {"redirects.tsv": table, "logs/pagecounts-20070310-000000": log})
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    assert any("redirect cycle" in r.getMessage() for r in caplog.records) == warned
+
+
+def test_verbose_ingest_logs_kept_redirect_rows(tmp_path):
+    """Old reaches Mid, Mid reaches New, and a third pass finds no row for New."""
+    table = "Old\tMid\nUnrelated\tElsewhere\nMid\tNew\n"
+    log = "en Old 5 10\n"
+    config = _ingest_run(tmp_path, {"redirects.tsv": table, "logs/pagecounts-20070310-000000": log})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoaxlens.cli", "ingest", "-v", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "kept 2 of 3 redirect rows in 3 passes" in proc.stderr
+    assert logstore.load_store(tmp_path / "out" / "store").titles == ["New"]
 
 
 def test_report_before_attention_names_missing_file(tmp_path, capsys):
@@ -995,6 +1045,32 @@ def test_traced_attention_sees_every_scoring_call(run_dir, tmp_path):
     results = len((out / "results.csv").read_text().splitlines()) - 1
     empty = (out / "attention_exclusions.csv").read_text().count(",empty_cohort_scores\n")
     assert calls.get("attention.cohort_d", 0) == results + empty
+
+
+def test_traced_ingest_sees_its_layers(run_dir, tmp_path):
+    """bench/launch.py wraps the names cmd_ingest and ingest call through: the
+    table's check, its load for the logged titles inside ingest, and the save."""
+    root, config = _copy_run(run_dir, tmp_path)
+    spans_path = tmp_path / "spans.json"
+    launch = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(launch), str(spans_path), "0", "ingest", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())
+    names = [name for name, *_ in spans]
+    assert names.count("logstore.ingest") == 1
+    assert names.count("logstore.save_store") == 1
+    ingest_span = names.index("logstore.ingest")
+    loads = [parent for name, _, _, parent, _ in spans if name == "logstore.RedirectTable.load"]
+    assert len(loads) == 2
+    assert ingest_span in loads
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
 
 
 # Canonical titles, among them ones csv must quote and one fixture_filename encodes.

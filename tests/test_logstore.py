@@ -28,6 +28,7 @@ from hoaxlens.logstore import (
     save_store,
     window_totals,
 )
+from hoaxlens.titles import MAX_REDIRECT_HOPS
 from storeview import daily_counts
 
 
@@ -244,6 +245,75 @@ def test_ingest_resolves_redirects(tmp_path):
     table = RedirectTable(mapping={"Old_name": "New_name"})
     store = ingest([f], table, CONFIG)
     assert daily_counts(store) == {"New_name": {d: 7}}
+
+
+def test_redirect_table_load_keeps_reachable_rows(tmp_path):
+    path = tmp_path / "redirects.tsv"
+    path.write_text("C\tD\nA\tB\nX\tY\nB\tC\nA\tC\n\nLoop_a\tLoop_b\nLoop_b\tLoop_a\n")
+    # A's later row replaces its first; C is reached through A, D through C.
+    assert RedirectTable.load(path, sources={"A"}).mapping == {"A": "C", "C": "D"}
+    assert RedirectTable.load(path, sources={"Z", "Loop_b"}).mapping == {
+        "Loop_b": "Loop_a",
+        "Loop_a": "Loop_b",
+    }
+    assert RedirectTable.load(path, sources=()).mapping == {}
+
+
+# Chain links C0 -> C1 -> ..., the titles of short rows, and titles no row names.
+_CHAIN = [f"C{i}" for i in range(MAX_REDIRECT_HOPS + 4)]
+_SHORT = ["A", "B", "D", "E"]
+
+
+@st.composite
+def _reachable_case(draw):
+    """A redirect TSV's rows in file order, with cycles, self-loops, repeated
+    sources, chains longer than MAX_REDIRECT_HOPS and unrelated rows, and the
+    logged titles to load it for."""
+    names = st.sampled_from(_SHORT + _CHAIN[:3])
+    rows = draw(st.lists(st.tuples(names, names), max_size=10))
+    start = draw(st.integers(0, len(_CHAIN) - 1))
+    rows += list(zip(_CHAIN[start:], _CHAIN[start + 1 :]))
+    rows += [(f"Unrelated_{i}", f"Elsewhere_{i}") for i in range(draw(st.integers(0, 3)))]
+    rows = draw(st.permutations(rows))
+    sources = draw(st.sets(st.sampled_from(_SHORT + _CHAIN + ["Unlisted"]), min_size=1))
+    return rows, sources
+
+
+def _chain_from(start):
+    return list(zip(_CHAIN[start:], _CHAIN[start + 1 :])), {_CHAIN[start]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_reachable_case(), end=st.sampled_from(["\n", "\r\n", "\r"]))
+# One hop more than resolve follows, and exactly as many, from the one logged title.
+@example(case=_chain_from(len(_CHAIN) - MAX_REDIRECT_HOPS - 2), end="\n")
+@example(case=_chain_from(len(_CHAIN) - MAX_REDIRECT_HOPS - 1), end="\n")
+def test_reachable_rows_resolve_like_whole_table(case, end):
+    """Loaded for the logged titles, the table resolves each of them as the
+    whole table does, and ingest given its path builds the same store."""
+    rows, sources = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "redirects.tsv"
+        path.write_bytes("".join(f"{a}\t{b}{end}" for a, b in rows).encode())
+        full = RedirectTable.load(path)
+        part = RedirectTable.load(path, sources=sources)
+        lines = [f"en {title} {i + 1} 1" for i, title in enumerate(sorted(sources))]
+        log = _write_hour(tmp, date(2007, 3, 10), 0, lines)
+        by_path = ingest([log], path, CONFIG)
+        in_memory = ingest([log], full, CONFIG)
+    flat = part.flattened()
+    want = {s: full.resolve(s) for s in sources if s in full.mapping}
+    assert {s: flat[s] for s in sources if s in flat} == want
+    # Only rows of the whole table, each within MAX_REDIRECT_HOPS hops of a logged title.
+    assert part.mapping == {s: full.mapping[s] for s in part.mapping}
+    reached = set(sources)
+    for _ in range(MAX_REDIRECT_HOPS):
+        reached |= {part.mapping[s] for s in reached if s in part.mapping}
+    assert set(part.mapping) <= reached
+    assert by_path.titles == in_memory.titles
+    assert list(by_path.keys) == list(in_memory.keys)
+    assert list(by_path.views) == list(in_memory.views)
 
 
 def test_ingest_order_independent(tmp_path):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hoaxlens import wikitext
 from hoaxlens.titles import clean_title
 from hoaxlens.wikitext import (
+    _EXCESS_NEWLINES_RE,
     _EXCLUDED_LINK_RE,
     _EXT_BRACKET_RE,
+    _HEADING_RE,
     _INTERLANG_RE,
     _WIKILINK_RE,
     ArticleSource,
@@ -216,6 +218,22 @@ def test_extract_external_links_matches_unanchored_scan(markup):
     remainder, n_bracketed = _EXT_BRACKET_RE.subn(" ", markup)
     expected = n_bracketed + sum(1 for _ in _REFERENCE_BARE_URL_RE.finditer(remainder))
     assert extract_external_links(markup) == expected
+
+
+# The unanchored forms of _HEADING_RE and _EXCESS_NEWLINES_RE.
+_REFERENCE_HEADING_RE = re.compile(r"^={1,6}\s*(.*?)\s*=*\s*$", re.M)
+_REFERENCE_EXCESS_NEWLINES_RE = re.compile(r"\n{3,}")
+_LINE_FRAGMENTS = st.sampled_from(
+    ["=", "==", "======", "=======", "\n", "\n\n\n", "\r", " ", "\t", "\u00a0", "a", "B c", "\u00e9"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(_LINE_FRAGMENTS, max_size=24).map("".join))
+@example(text="== A ==\n=B=\n x\n======= C =======\n\n\n\n= = =")
+def test_markup_regexes_match_unanchored_forms(text):
+    assert _HEADING_RE.sub(r"\1", text) == _REFERENCE_HEADING_RE.sub(r"\1", text)
+    assert _EXCESS_NEWLINES_RE.sub("\n\n", text) == _REFERENCE_EXCESS_NEWLINES_RE.sub("\n\n", text)
 
 
 def _features(source):
