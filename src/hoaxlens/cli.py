@@ -17,7 +17,6 @@ import csv
 import json
 import logging
 import math
-import struct
 import sys
 import traceback
 from contextlib import closing
@@ -25,6 +24,7 @@ from dataclasses import asdict, dataclass, fields
 from datetime import date
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 log = logging.getLogger(__name__)
 
@@ -58,11 +58,16 @@ FEATURES_OUTPUTS = (FEATURES_CSV, ZSCORES_CSV, FEATURE_EXCLUSIONS_CSV, NEIGHBORS
 ATTENTION_OUTPUTS = (RESULTS_CSV, COHORT_SCORES_CSV, ATTENTION_EXCLUSIONS_CSV, SUMMARY_JSON,
                      D_HISTOGRAM_CSV, BOOT_HISTOGRAM_CSV)
 
+# The header of each table a later stage reads, as _write_csv writes it.
+COHORTS_HEADER = ["hoax_title", "creation_date", "member_title"]
+HOAX_EXCLUSIONS_HEADER = ["hoax_title", "reason"]
+FEATURE_EXCLUSIONS_HEADER = ["title", "reason"]
 FEATURES_HEADER = ["title", "plain_length", "ratio", "wikilink_density", "extlink_density"]
 NEIGHBORS_HEADER = ["title", "neighbors"]
 # Joins an article's neighbor titles in one field; clean_title discards any title with it.
 NEIGHBOR_SEP = "|"
 RESULTS_HEADER = ["hoax_title", "delta_v", "cohort_mean", "cohort_n", "D"]
+COHORT_SCORES_HEADER = ["hoax_title", "member_title", "delta_v"]
 
 
 class InputError(ValueError):
@@ -136,40 +141,25 @@ def _require(value: str | None, key: str) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # Lines end with \n, cut from the writer's \r\n: it quotes only the fields holding
+    # a character of its line terminator, and one holding a lone \r must be quoted.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-# A neighbors.csv field lists every link of an article, which passes the csv
-# module's default limit of 131,072 characters at about 6,000 links; the reader
-# takes the largest limit the platform's C long holds.
-CSV_FIELD_LIMIT = 2 ** (8 * struct.calcsize("l") - 1) - 1
+def _iter_csv(path: Path, what: str, header: list[str], stage: str = "the earlier pipeline stage"):
+    """(line number, row) for each row of a stage table, as ``corpus.iter_csv`` yields it."""
+    from . import corpus
 
-
-def _iter_csv(path: Path, what: str, width: int, stage: str = "the earlier pipeline stage"):
-    """(line number, row) for each non-blank row after the header, read as it is
-    yielded; each row has width fields."""
     if not path.exists():
         raise InputError(f"missing {what}: {path} (run {stage} first)")
-    csv.field_size_limit(CSV_FIELD_LIMIT)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader, None)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise InputError(
-                        f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
-                    )
-                yield reader.line_num, row
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-        except csv.Error as exc:
-            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
+    try:
+        yield from corpus.iter_csv(path, header)
+    except corpus.MalformedRecord as exc:
+        raise InputError(str(exc)) from None
 
 
 def _csv_float(path: Path, lineno: int, text: str) -> float:
@@ -304,8 +294,8 @@ def cmd_cohort(cfg: RunConfig) -> int:
         n_cohorts += 1
         for member in record.members:
             rows.append([hoax.title, record.creation_date.isoformat(), member.title])
-    _write_csv(out / COHORTS_CSV, ["hoax_title", "creation_date", "member_title"], rows)
-    _write_csv(out / COHORT_EXCLUSIONS_CSV, ["hoax_title", "reason"], exclusions)
+    _write_csv(out / COHORTS_CSV, COHORTS_HEADER, rows)
+    _write_csv(out / COHORT_EXCLUSIONS_CSV, HOAX_EXCLUSIONS_HEADER, exclusions)
     print(f"built {n_cohorts} cohorts ({len(rows)} member rows), {len(exclusions)} hoaxes excluded")
     return 0
 
@@ -321,7 +311,8 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
     members: dict[str, list[str]] = {}
     days: dict[str, date] = {}
     intern = sys.intern
-    for lineno, (hoax_title, day_s, member_title) in _iter_csv(path, "cohort table", 3, "cohort"):
+    rows = _iter_csv(path, "cohort table", COHORTS_HEADER, "cohort")
+    for lineno, (hoax_title, day_s, member_title) in rows:
         day = days.get(day_s)
         if day is None:
             try:
@@ -331,10 +322,8 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
         hoax_title = intern(hoax_title)
         creation[hoax_title] = day
         members.setdefault(hoax_title, []).append(intern(member_title))
-    excluded = {
-        title: reason
-        for _, (title, reason) in _iter_csv(out / COHORT_EXCLUSIONS_CSV, "cohort exclusions", 2)
-    }
+    exclusions = _iter_csv(out / COHORT_EXCLUSIONS_CSV, "cohort exclusions", HOAX_EXCLUSIONS_HEADER)
+    excluded = {title: reason for _, (title, reason) in exclusions}
     return creation, members, excluded
 
 
@@ -446,7 +435,7 @@ def cmd_features(cfg: RunConfig) -> int:
         ["hoax_title", "feature", "value", "cohort_median", "cohort_mad", "z", "flag"],
         z_rows,
     )
-    _write_csv(out / FEATURE_EXCLUSIONS_CSV, ["title", "reason"], exclusions)
+    _write_csv(out / FEATURE_EXCLUSIONS_CSV, FEATURE_EXCLUSIONS_HEADER, exclusions)
     _write_csv(out / NEIGHBORS_CSV, NEIGHBORS_HEADER, neighbor_rows)
     print(
         f"features for {len(computed)} articles, z-scores for "
@@ -464,7 +453,7 @@ def _read_neighbors(out: Path) -> dict[str, list[str]]:
     path = out / NEIGHBORS_CSV
     neighbors: dict[str, list[str]] = {}
     intern = sys.intern
-    for lineno, (title, field) in _iter_csv(path, "neighbor table", 2, stage="features"):
+    for lineno, (title, field) in _iter_csv(path, "neighbor table", NEIGHBORS_HEADER, "features"):
         names = [intern(name) for name in field.split(NEIGHBOR_SEP)] if field else []
         if not title or title in neighbors:
             raise InputError(f"{path}:{lineno}: empty or repeated title {title!r}")
@@ -491,7 +480,8 @@ def _score_run(cfg: RunConfig, out: Path) -> tuple[int, list, list[list[str]]]:
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     creation, members, cohort_excluded = _read_cohorts(out)
     neighbors = _read_neighbors(out)
-    feature_exclusions = _iter_csv(out / FEATURE_EXCLUSIONS_CSV, "feature exclusions", 2)
+    path = out / FEATURE_EXCLUSIONS_CSV
+    feature_exclusions = _iter_csv(path, "feature exclusions", FEATURE_EXCLUSIONS_HEADER)
     no_fixture = {title for _, (title, reason) in feature_exclusions if reason == "no_fixture"}
     # Every title cohorts.csv names needs a neighbors row or a no_fixture exclusion.
     stale = set(members).union(*members.values()) - neighbors.keys() - no_fixture
@@ -516,10 +506,10 @@ def cmd_attention(cfg: RunConfig) -> int:
         [r.hoax_score.title, r.hoax_score.delta_v, r.cohort_mean, r.cohort_n, r.d]
         for r in results
     ))
-    _write_csv(out / COHORT_SCORES_CSV, ["hoax_title", "member_title", "delta_v"], (
+    _write_csv(out / COHORT_SCORES_CSV, COHORT_SCORES_HEADER, (
         [r.hoax_score.title, s.title, s.delta_v] for r in results for s in r.cohort_scores
     ))
-    _write_csv(out / ATTENTION_EXCLUSIONS_CSV, ["hoax_title", "reason"], exclusions)
+    _write_csv(out / ATTENTION_EXCLUSIONS_CSV, HOAX_EXCLUSIONS_HEADER, exclusions)
     d_values = [r.d for r in results]
     del results  # the cohort scores are written; free them before the bootstrap
     summary: dict = {
@@ -583,10 +573,10 @@ def cmd_report(cfg: RunConfig) -> int:
     results_path = out / RESULTS_CSV
     scores_path = out / COHORT_SCORES_CSV
     # Read whole, so that a malformed row stops the stage before any plot is written.
-    results = list(_iter_csv(results_path, "attention results", len(RESULTS_HEADER)))
+    results = list(_iter_csv(results_path, "attention results", RESULTS_HEADER))
     member_scores: dict[str, list[float]] = {}
-    for lineno, (hoax_title, _, dv) in _iter_csv(scores_path, "cohort scores", 3):
-        member_scores.setdefault(hoax_title, []).append(_csv_float(scores_path, lineno, dv))
+    for lineno, (hoax, _, dv) in _iter_csv(scores_path, "cohort scores", COHORT_SCORES_HEADER):
+        member_scores.setdefault(hoax, []).append(_csv_float(scores_path, lineno, dv))
     mean, ci = _read_summary(out / SUMMARY_JSON)
 
     def histogram(values, path: Path):
@@ -659,7 +649,9 @@ def _seed_type(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # The common options go before or after the command. Neither copy sets a default,
+    # so one given after the command wins; main supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--seed", type=_seed_type, metavar="U64", help="override config seed")
     common.add_argument("--out", metavar="DIR", help="override output directory")
@@ -667,6 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hoaxlens",
         description="Measure whether attention to a topic preceded its article's creation.",
+        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (func, help_text) in COMMANDS.items():
@@ -677,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        defaults = argparse.Namespace(config=None, seed=None, out=None, verbose=False)
+        args = build_parser().parse_args(argv, defaults)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     logging.basicConfig(

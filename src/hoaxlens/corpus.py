@@ -1,4 +1,5 @@
-"""Article metadata, same-day creation cohorts, link neighborhoods.
+"""The CSV reader of every input list and stage table (``iter_csv``), article
+metadata, same-day creation cohorts, link neighborhoods.
 
 A hoax's cohort is every non-redirect, non-hoax article created on the same UTC
 day, with redirect sources collapsed away so each canonical page appears once.
@@ -7,14 +8,14 @@ day, with redirect sources collapsed away so each canonical page appears once.
 from __future__ import annotations
 
 import csv
-import io
 import logging
-from collections.abc import Iterable
+import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .titles import RedirectTable, clean_title
+from .titles import MalformedRecord, RedirectTable, clean_title, utf8_fault
 
 log = logging.getLogger(__name__)
 
@@ -23,13 +24,9 @@ CREATION_HEADER = ["title", "created_at", "is_redirect", "redirect_target"]
 
 _TRUTHY = {"1", "true", "yes"}
 
-
-class MalformedRecord(ValueError):
-    """A CSV record that cannot be parsed; carries file and line number."""
-
-    def __init__(self, path, lineno: int, why: str):
-        super().__init__(f"{path}:{lineno}: {why}")
-        self.lineno = lineno
+# Fields of any length: a neighbors.csv field lists every link of an article,
+# past the csv module's default limit of 131,072 characters at about 6,000 links.
+CSV_FIELD_LIMIT = 2 ** (8 * struct.calcsize("l") - 1) - 1
 
 
 class EmptyCohort(ValueError):
@@ -80,55 +77,50 @@ def _clean_or_raise(raw: str, path, lineno: int) -> str:
     return cleaned
 
 
-def _read_rows(path: Path) -> list[list[str]]:
-    """Every CSV row of a UTF-8 file; bytes that are not UTF-8 are a MalformedRecord."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedRecord(path, lineno, f"not valid UTF-8 ({exc.reason})") from None
-    return list(csv.reader(io.StringIO(text, newline="")))
+def iter_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) for each non-blank row after the header of a UTF-8 CSV,
+    read as it is yielded; an empty file has no rows.
+
+    The first row must be header exactly, and every other row have as many
+    fields. A row that breaks this, a csv error, or bytes that are not UTF-8
+    raise MalformedRecord naming the line.
+    """
+    csv.field_size_limit(CSV_FIELD_LIMIT)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is not None and first != header:
+                raise MalformedRecord(path, 1, f"expected header {','.join(header)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    why = f"expected {len(header)} fields, got {len(row)}"
+                    raise MalformedRecord(path, reader.line_num, why)
+                yield reader.line_num, row
+        except UnicodeDecodeError:
+            raise utf8_fault(path) from None
+        except csv.Error as exc:
+            raise MalformedRecord(path, reader.line_num, str(exc)) from None
 
 
 def load_hoaxes(path: str | Path) -> list[ArticleMeta]:
     """Hoax list CSV with header ``title,created_at``; empty file means no hoaxes."""
-    path = Path(path)
-    hoaxes: list[ArticleMeta] = []
-    rows = _read_rows(path)
-    if not rows:
-        return hoaxes
-    if rows[0] != HOAX_HEADER:
-        raise MalformedRecord(path, 1, f"expected header {','.join(HOAX_HEADER)}")
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRecord(path, lineno, f"expected 2 fields, got {len(row)}")
-        title = _clean_or_raise(row[0], path, lineno)
-        created = _parse_timestamp(row[1], path, lineno)
-        hoaxes.append(ArticleMeta(title=title, created_at=created, is_hoax=True))
-    return hoaxes
+    return [
+        ArticleMeta(_clean_or_raise(title, path, n), _parse_timestamp(at, path, n), is_hoax=True)
+        for n, (title, at) in iter_csv(path, HOAX_HEADER)
+    ]
 
 
 def _load_creation_file(path: Path, metas: list[ArticleMeta], redirects: dict[str, str]) -> None:
-    rows = _read_rows(path)
-    if not rows:
-        return
-    if rows[0] != CREATION_HEADER:
-        raise MalformedRecord(path, 1, f"expected header {','.join(CREATION_HEADER)}")
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRecord(path, lineno, f"expected 4 fields, got {len(row)}")
-        title = _clean_or_raise(row[0], path, lineno)
-        created = _parse_timestamp(row[1], path, lineno)
-        is_redirect = row[2].strip().lower() in _TRUTHY
-        metas.append(ArticleMeta(title=title, created_at=created, is_redirect=is_redirect))
-        if is_redirect and row[3].strip():
-            target = _clean_or_raise(row[3], path, lineno)
-            redirects[title] = target
+    for lineno, (raw, created, redirect, target) in iter_csv(path, CREATION_HEADER):
+        title = _clean_or_raise(raw, path, lineno)
+        created_at = _parse_timestamp(created, path, lineno)
+        is_redirect = redirect.strip().lower() in _TRUTHY
+        metas.append(ArticleMeta(title, created_at, is_redirect=is_redirect))
+        if is_redirect and target.strip():
+            redirects[title] = _clean_or_raise(target, path, lineno)
 
 
 def load_creation_list(path: str | Path) -> tuple[list[ArticleMeta], RedirectTable]:

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from . import forkpool
-from .titles import RedirectTable, clean_title
+from .titles import RedirectTable, clean_title, read_utf8
 
 if TYPE_CHECKING:
     from array import array
@@ -93,12 +93,7 @@ class FilterConfig:
     @classmethod
     def load(cls, path: str | Path) -> "FilterConfig":
         """First non-comment line is the project code, the rest are prefixes."""
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
+        text = read_utf8(path)
         project = None
         prefixes: list[str] = []
         for line in text.splitlines():
@@ -535,7 +530,7 @@ def load_store(directory: str | Path) -> TrafficStore:
 
     directory = Path(directory)
     fields: dict[str, str] = {}
-    manifest = (directory / MANIFEST_NAME).read_text(encoding="utf-8")
+    manifest = read_utf8(directory / MANIFEST_NAME)
     for lineno, line in enumerate(manifest.splitlines(), 1):
         if not line:
             continue
@@ -564,7 +559,7 @@ def load_store(directory: str | Path) -> TrafficStore:
         if not (value.isascii() and value.isdigit()):
             raise ValueError(f"{MANIFEST_NAME}: {key}={value!r} is not a count")
         tallies[key] = int(value)
-    titles = (directory / "titles.txt").read_text(encoding="utf-8").split("\n")
+    titles = read_utf8(directory / "titles.txt").split("\n")
     if titles.pop() != "":
         raise ValueError("titles.txt: last line has no newline")
     if any(a >= b for a, b in zip(titles, titles[1:])):

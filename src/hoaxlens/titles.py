@@ -1,4 +1,5 @@
-"""Title rules shared by every stage: cleaning, redirects, fixture file names.
+"""Rules shared by every stage: reading UTF-8 input (``read_utf8``, and the fault
+of every reader), and title cleaning, redirects and fixture file names.
 
 Standard library only, so that every stage but ``attention`` starts without
 importing numpy.
@@ -57,15 +58,44 @@ def fixture_filename(title: str, suffix: str) -> str:
     return title.replace("/", "%2F") + suffix
 
 
+class MalformedRecord(ValueError):
+    """A record of an input file that cannot be read; carries file and line number."""
+
+    def __init__(self, path, lineno: int, why: str):
+        super().__init__(f"{path}:{lineno}: {why}")
+        self.lineno = lineno
+
+
+def utf8_fault(path: str | Path) -> MalformedRecord:
+    """The fault of a file that is not UTF-8: its first line, counted in ``\n``
+    bytes, that does not decode, or line 0 if the file changed since it failed."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return MalformedRecord(path, lineno, f"not valid UTF-8 ({exc.reason})")
+    return MalformedRecord(path, 0, "not valid UTF-8 (changed since read)")
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file as ``Path.read_text(encoding="utf-8")`` returns it,
+    ``\r\n`` and ``\r`` read as ``\n``; bytes that are not UTF-8 raise ``utf8_fault``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise utf8_fault(path) from None
+
+
 def _read_rows(path: str | Path, wanted: Container[str] | None) -> tuple[dict[str, str], int]:
     """The rows of a redirect TSV whose source is in wanted, or every row when
     it is None, as source -> target, and the number of rows in the file.
 
     The file is streamed. Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as
     in text mode, blank lines are skipped, and a later row for a source replaces
-    an earlier one. Bytes that are not UTF-8, wherever they are, raise ValueError
-    naming their line, counted in ``\n`` bytes. Otherwise the first row that is
-    not two non-empty fields raises ValueError naming its line.
+    an earlier one. Bytes that are not UTF-8, wherever they are, raise
+    MalformedRecord naming their line (``utf8_fault``). Otherwise the first row
+    that is not two non-empty fields raises MalformedRecord naming its line.
     """
     kept: dict[str, str] = {}
     rows = bad_row = 0
@@ -82,15 +112,9 @@ def _read_rows(path: str | Path, wanted: Container[str] | None) -> tuple[dict[st
                 if wanted is None or source in wanted:
                     kept[source] = target
     except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
-        raise
+        raise utf8_fault(path) from None
     if bad_row:
-        raise ValueError(f"{path}:{bad_row}: expected source<TAB>target")
+        raise MalformedRecord(path, bad_row, "expected source<TAB>target")
     return kept, rows
 
 
@@ -116,7 +140,7 @@ class RedirectTable:
         logs at INFO how many rows it kept.
 
         A row that is not two non-empty fields, or bytes that are not UTF-8,
-        raise ValueError naming the file and line (see ``_read_rows``).
+        raise MalformedRecord naming the file and line (see ``_read_rows``).
         """
         mapping, rows = _read_rows(path, sources)
         if sources is None:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .titles import clean_title, fixture_filename
+from .titles import clean_title, fixture_filename, read_utf8
 
 # count_words maps each character to its word class: b"a" for str.isalnum(),
 # b" " for everything else. ASCII goes through this table; every wider
@@ -242,20 +242,14 @@ def feature_values(features: ArticleFeatures) -> dict[str, float]:
     }
 
 
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-
-
 def load_article(fixtures_dir: str | Path, title: str) -> ArticleSource:
     """Read ``<title>.wiki`` (required) and ``<title>.txt`` (optional plain extract).
 
-    A missing ``.wiki`` raises FileNotFoundError; a file that is not UTF-8, ValueError.
+    A missing ``.wiki`` raises FileNotFoundError; a file that is not UTF-8,
+    MalformedRecord naming its line.
     """
     fixtures_dir = Path(fixtures_dir)
-    markup = _read_utf8(fixtures_dir / fixture_filename(title, ".wiki"))
+    markup = read_utf8(fixtures_dir / fixture_filename(title, ".wiki"))
     txt_path = fixtures_dir / fixture_filename(title, ".txt")
-    plain = _read_utf8(txt_path) if txt_path.exists() else None
+    plain = read_utf8(txt_path) if txt_path.exists() else None
     return ArticleSource(title=title, markup=markup, plain=plain)

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthgen
@@ -153,6 +153,20 @@ def test_seed_override_applied(run_dir, tmp_path):
     assert [int(r.split(",")[2]) for r in hist_rows] == list(counts)
 
 
+def test_common_options_before_or_after_command(run_dir, tmp_path):
+    """--config and --seed apply before the command name; given on both sides of
+    it, the one after it wins."""
+    root, config = _copy_run(run_dir, tmp_path)
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["--config", missing, "attention", "--config", str(config)]) == 0
+    assert cli.main(["--config", str(config), "attention", "--config", missing]) == 1
+    summary = root / "out" / "summary.json"
+    assert cli.main(["--seed", "99", "--config", str(config), "attention"]) == 0
+    assert json.loads(summary.read_text())["seed"] == 99
+    assert cli.main(["--seed", "99", "attention", "--seed", "7", "--config", str(config)]) == 0
+    assert json.loads(summary.read_text())["seed"] == 7
+
+
 def test_missing_config_is_input_error(tmp_path):
     assert cli.main(["ingest", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -283,21 +297,23 @@ def test_redirect_cycle_warns_only_when_a_logged_title_reaches_it(
 
 
 def test_verbose_ingest_logs_kept_redirect_rows(tmp_path):
-    """Old reaches Mid, Mid reaches New, and a third pass finds no row for New."""
+    """Old reaches Mid, Mid reaches New, and a third pass finds no row for New.
+    -v works after the command name and before it."""
     table = "Old\tMid\nUnrelated\tElsewhere\nMid\tNew\n"
     log = "en Old 5 10\n"
     config = _ingest_run(tmp_path, {"redirects.tsv": table, "logs/pagecounts-20070310-000000": log})
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "hoaxlens.cli", "ingest", "-v", "--config", str(config)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "kept 2 of 3 redirect rows in 3 passes" in proc.stderr
-    assert logstore.load_store(tmp_path / "out" / "store").titles == ["New"]
+    for argv in (["ingest", "-v"], ["-v", "ingest"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hoaxlens.cli", *argv, "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "kept 2 of 3 redirect rows in 3 passes" in proc.stderr
+        assert logstore.load_store(tmp_path / "out" / "store").titles == ["New"]
 
 
 def test_report_before_attention_names_missing_file(tmp_path, capsys):
@@ -577,6 +593,17 @@ def test_bad_store_is_input_error(run_dir, tmp_path, capsys, corrupt):
     assert str(root / "out" / "store") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, lineno", [("titles.txt", 2), ("manifest.txt", 3)])
+def test_store_text_not_utf8_names_line(run_dir, tmp_path, capsys, name, lineno):
+    root, config = _copy_run(run_dir, tmp_path)
+    path = root / "out" / "store" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    assert cli.main(["attention", "--config", str(config)]) == 1
+    assert f"{path}:{lineno}: not valid UTF-8" in capsys.readouterr().err
+
+
 def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -773,7 +800,7 @@ def _unscore_day0_drop_member(data):
         (lambda data: data + b"A,B||C\n", ":18: neighbors not sorted"),
         (lambda data: data + b"A,|B\n", ":18: neighbors not sorted"),
         (lambda data: data + data.splitlines(True)[1], ":18: empty or repeated title"),
-        (lambda data: data + b"A,\xff\n", "not valid UTF-8"),
+        (lambda data: data + b"A,\xff\n", ":18: not valid UTF-8"),
         (_drop_row("Synth_hoax_00"), "no row for 'Synth_hoax_00'"),
         (_drop_row("Cohort_d0_m01"), "no row for 'Cohort_d0_m01'"),
         (_unscore_day0_drop_member, "no row for 'Cohort_d0_m01'"),
@@ -802,6 +829,43 @@ def test_bad_neighbor_table_is_input_error(run_dir, tmp_path, capsys, edit, name
     err = capsys.readouterr().err
     assert str(path) in err
     assert named in err
+
+
+def test_feature_exclusions_with_wrong_header_is_input_error(run_dir, tmp_path, capsys):
+    root, config = _copy_run(run_dir, tmp_path)
+    path = root / "out" / "feature_exclusions.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("title,reason\n", "hoax_title,reason\n", 1), encoding="utf-8")
+    assert cli.main(["attention", "--config", str(config)]) == 1
+    assert f"{path}:1: expected header title,reason" in capsys.readouterr().err
+
+
+# Fields holding the csv syntax, line ends, non-ASCII text and, now and then, more
+# than the csv module's default limit of 131,072 characters.
+_CSV_FIELDS = st.tuples(
+    st.text(st.sampled_from(',"\r\n aé€\U0001f600') | st.characters(blacklist_categories=["Cs"],
+            blacklist_characters="\x00"), max_size=8),
+    st.sampled_from([0, 0, 0, 70_000]),
+).map(lambda pair: pair[0] + "é," * pair[1])
+
+
+@st.composite
+def _csv_tables(draw):
+    width = draw(st.integers(1, 4))
+    fields = st.lists(_CSV_FIELDS, min_size=width, max_size=width)
+    return draw(fields), draw(st.lists(fields, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_csv_tables())
+@example(table=(["a", "b"], [["\r", "x\ry"], ["\r\n", '"'], ["é," * 70_000, ""]]))
+def test_stage_table_round_trips(table):
+    """What _write_csv writes, _iter_csv reads back row for row."""
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, header, rows)
+        assert [row for _, row in cli._iter_csv(path, "table", header)] == rows
 
 
 def test_neighbor_table_holds_empty_articles(run_dir, tmp_path):
@@ -891,9 +955,10 @@ def _empty_creation_dir(root):
 @pytest.mark.parametrize(
     "mutate, before, command, named",
     [
-        (_write_bytes("fixtures/Synth_hoax_00.wiki", b"[[A]] \xff"), [], "features",
-         "Synth_hoax_00.wiki"),
-        (_write_bytes("fixtures/Synth_hoax_00.txt", b"\xff"), [], "features", "Synth_hoax_00.txt"),
+        (_write_bytes("fixtures/Synth_hoax_00.wiki", b"[[A]]\n\xff"), [], "features",
+         "Synth_hoax_00.wiki:2:"),
+        (_write_bytes("fixtures/Synth_hoax_00.txt", b"\xff"), [], "features",
+         "Synth_hoax_00.txt:1:"),
         (_write_bytes("fixtures/Synth_hoax_00.wiki", b"\xff"), ["features"], "attention",
          "neighbors.csv"),
         (_append_bytes("hoaxes.csv", b"Caf\xe9,2007-03-10T08:00:00Z\n"), [], "cohort",
@@ -901,7 +966,7 @@ def _empty_creation_dir(root):
         (_append_bytes("creations.csv", b"Caf\xe9,2007-03-10T08:00:00Z,0,\n"), [], "cohort",
          "creations.csv:10:"),
         (_empty_creation_dir, [], "cohort", "lists"),
-        (_write_bytes("filter.conf", b"en\n\xff\n"), [], "ingest", "filter.conf"),
+        (_write_bytes("filter.conf", b"en\n\xff\n"), [], "ingest", "filter.conf:2:"),
         (_write_bytes("redirects.tsv", b"A\tB\nCaf\xe9\tCafe\n"), [], "ingest",
          "redirects.tsv:2:"),
     ],
@@ -927,6 +992,30 @@ def test_unreadable_input_is_input_error(
         cli.main([earlier, "--config", config])
     capsys.readouterr()
     assert cli.main([command, "--config", config]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, row, named",
+    [
+        ("hoaxes.csv", b"Long," + b"2007" * 40_000 + b"\n", "hoaxes.csv:4: bad timestamp"),
+        ("creations.csv", b"L|" + b"x" * 140_000 + b",2007-03-10T08:00:00Z,0,\n",
+         "creations.csv:10: unusable title"),
+    ],
+    ids=["hoaxes", "creation_list"],
+)
+def test_input_list_field_over_csv_limit_is_read(cohort_dir, tmp_path, capsys, name, row, named):
+    """A field past the csv module's default limit of 131,072 characters is read
+    like any other, so a bad one is an error naming its line. The limit is
+    process-wide; the test sets the default back, as a fresh process has it."""
+    root = tmp_path / "copy"
+    shutil.copytree(cohort_dir, root)
+    _append_bytes(name, row)(root)
+    limit = csv.field_size_limit(131_072)
+    try:
+        assert cli.main(["cohort", "--config", str(root / "config.json")]) == 1
+    finally:
+        csv.field_size_limit(limit)
     assert named in capsys.readouterr().err
 
 
