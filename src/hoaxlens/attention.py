@@ -10,6 +10,7 @@ decides a hoax's D or the reason it has none.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -218,6 +219,25 @@ def bootstrap_resample_means(values, resamples: int = 10000, seed: int = 0) -> n
     return means
 
 
+def percentile(sorted_values: list[float], q: float) -> float:
+    """The q-th percentile (0 <= q <= 100) of an ascending non-empty list, by
+    numpy's default ``linear`` rule, with the same rounding as ``np.percentile``.
+
+    The CI is read with this rather than ``np.percentile``, whose import of
+    ``numpy.ma`` costs ``attention`` about 2 MB of peak memory.
+    """
+    n = len(sorted_values)
+    virtual = (n - 1) * (q / 100)
+    lo = math.floor(virtual)
+    hi = min(lo + 1, n - 1)
+    gamma = virtual - lo
+    a, b = sorted_values[lo], sorted_values[hi]
+    # numpy's lerp, which interpolates from the nearer end.
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> BootstrapSummary:
     """Percentile bootstrap 95% CI for the mean; same seed, same interval.
 
@@ -227,12 +247,12 @@ def bootstrap_mean_ci(values, resamples: int = 10000, seed: int = 0) -> Bootstra
 
     values = list(values)
     means = bootstrap_resample_means(values, resamples=resamples, seed=seed)
-    low, high = np.percentile(means, [2.5, 97.5])
+    ordered = np.sort(means).tolist()
     return BootstrapSummary(
         sample_mean=float(np.mean(values)),
         resamples=resamples,
-        ci_low=float(low),
-        ci_high=float(high),
+        ci_low=percentile(ordered, 2.5),
+        ci_high=percentile(ordered, 97.5),
         seed=seed,
         means=means,
     )

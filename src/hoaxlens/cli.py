@@ -329,8 +329,8 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
 
 # One article's features and neighbors take about 0.6-0.8 ms on a 2-vCPU VM,
 # whatever its size, and a pool of two workers forked from the features stage
-# costs it about 40-60 ms to import, start and join (52 articles: 0.18 s in one
-# process, 0.22 s with two workers), which a worker earns back only with at
+# costs it about 10-15 ms to start and join (52 articles: 0.159 s in one
+# process, 0.173 s with two workers), which a worker earns back only with at
 # least this many articles to compute.
 MIN_ARTICLES_PER_WORKER = 100
 

@@ -19,6 +19,7 @@ from hoaxlens.attention import (
     cohort_d,
     delta_v,
     modified_z,
+    percentile,
     score_hoaxes,
 )
 from hoaxlens.logstore import TrafficStore
@@ -246,6 +247,28 @@ def test_bootstrap_resample_means_match_summary():
     assert summary.ci_low == float(lo)
     assert summary.ci_high == float(hi)
     assert np.array_equal(summary.means, means)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 20_000),
+    scale=st.sampled_from([1e-12, 1e-6, 1.0, 1e6, 1e12]),
+    shift=st.sampled_from([0.0, 1.0, -3.0]),
+    ties=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from([0, 2.5, 50, 97.5, 100]),
+)
+@example(n=1, scale=1.0, shift=0.0, ties=0, seed=0, q=97.5)
+@example(n=2, scale=1e12, shift=1.0, ties=0, seed=0, q=50)
+@example(n=10_000, scale=1.0, shift=0.0, ties=0, seed=1, q=2.5)
+def test_percentile_matches_numpy(n, scale, shift, ties, seed, q):
+    """The CI's percentile gives np.percentile's value to the bit; ties > 0 draws
+    the sample from that many distinct values."""
+    rng = np.random.default_rng(seed)
+    values = (rng.normal(size=n) + shift) * scale
+    if ties:
+        values = rng.choice(values[:ties], size=n)
+    assert percentile(np.sort(values).tolist(), q) == float(np.percentile(values, q))
 
 
 @pytest.mark.parametrize("n", [1, 7, 400, BOOTSTRAP_CELLS + 5])

@@ -1,6 +1,5 @@
 """Pipeline commands: config handling, outputs, determinism, exit codes."""
 
-import concurrent.futures
 import csv
 import gzip
 import json
@@ -485,17 +484,32 @@ def test_report_bad_summary_is_input_error(tmp_path, capsys, body):
     assert "summary.json" in capsys.readouterr().err
 
 
-# Runs a command as `python -m hoaxlens.cli` does, then reports which of numpy and
-# the pool machinery it loaded.
+# Runs a command as `python -m hoaxlens.cli` does, with every pool forced to the
+# worker count in argv[1] when it is above 1, then reports which of numpy,
+# numpy.ma and a pool library it loaded, and the size of each pool it forked.
 _IMPORT_PROBE = """
 import json, runpy, sys
-sys.argv = ["hoaxlens", *sys.argv[1:]]
+workers, sys.argv = int(sys.argv[1]), ["hoaxlens", *sys.argv[2:]]
+pools = []
+if workers > 1:
+    from hoaxlens import forkpool
+
+    fork_workers = forkpool._fork_workers
+
+    def recording_fork_workers(*args):
+        children = fork_workers(*args)
+        pools.append(len(children))
+        return children
+
+    forkpool.worker_count = lambda *args: workers
+    forkpool._fork_workers = recording_fork_workers
 try:
     runpy.run_module("hoaxlens.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-watched = ["numpy", "multiprocessing", "concurrent.futures"]
-print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
+watched = ["numpy", "numpy.ma", "multiprocessing", "concurrent.futures"]
+loaded = [m for m in watched if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded, "pools": pools}))
 """
 
 
@@ -512,14 +526,16 @@ def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded_modules(run_dir, tmp_path, command) -> list[str]:
-    """The watched modules a command loads, run in a fresh interpreter on a copy of run_dir."""
+def _loaded_modules(run_dir, tmp_path, command, workers=1) -> list[str]:
+    """The watched modules a command loads, run in a fresh interpreter on a copy of
+    run_dir; with workers above 1, it must fork one pool of that many."""
     _, config = _copy_run(run_dir, tmp_path)
     argv = [command] if command == "--help" else [command, "--config", str(config)]
-    proc = _run_python(_IMPORT_PROBE, *argv)
+    proc = _run_python(_IMPORT_PROBE, str(workers), *argv)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
+    assert result["pools"] == ([] if workers == 1 else [workers])
     return result["loaded"]
 
 
@@ -537,6 +553,18 @@ def test_stage_starts_no_pool(run_dir, tmp_path, command):
     articles = len((run_dir / "out" / "features.csv").read_text().splitlines()) - 1
     assert articles < cli.MIN_ARTICLES_PER_WORKER
     assert _loaded_modules(run_dir, tmp_path, command) == []
+
+
+@pytest.mark.parametrize("command", ["ingest", "features"])
+def test_forked_pool_loads_no_pool_library(run_dir, tmp_path, command):
+    """ingest and features fork their workers with neither multiprocessing nor
+    concurrent.futures, nor numpy, loaded."""
+    assert _loaded_modules(run_dir, tmp_path, command, workers=2) == []
+
+
+def test_attention_never_loads_numpy_ma(run_dir, tmp_path):
+    """The bootstrap CI is read without np.percentile, which imports numpy.ma."""
+    assert _loaded_modules(run_dir, tmp_path, "attention") == ["numpy"]
 
 
 def _edit(name, edit):
@@ -693,13 +721,14 @@ def features_workers(request, monkeypatch):
         monkeypatch.setattr(cli, "MIN_ARTICLES_PER_WORKER", 1)
         monkeypatch.setattr(forkpool, "available_cpus", lambda: 2)
     started = []
+    fork_workers = forkpool._fork_workers
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_fork_workers(*args):
+        children = fork_workers(*args)
+        started.append(len(children))
+        return children
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(forkpool, "_fork_workers", recording_fork_workers)
     yield started
     assert started == ([] if request.param == 1 else [2])
 

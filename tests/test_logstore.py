@@ -1,9 +1,7 @@
 """Traffic log parsing, cleaning, redirect resolution, store behavior."""
 
-import concurrent.futures
 import gzip
 import io
-import multiprocessing
 import os
 import tempfile
 import time
@@ -351,15 +349,16 @@ def test_ingest_unreadable_file_continues(tmp_path):
 def pools(monkeypatch):
     """Four CPUs and a worker for every byte; record each pool ingest starts by its size."""
     started = []
+    fork_workers = forkpool._fork_workers
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording_fork_workers(*args):
+        children = fork_workers(*args)
+        started.append(len(children))
+        return children
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(forkpool, "_fork_workers", recording_fork_workers)
     return started
 
 
@@ -428,7 +427,8 @@ def test_ingest_workers_bounded(monkeypatch, cpus, n_files, file_bytes, methods,
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    if "fork" not in methods:
+        monkeypatch.delattr(os, "fork")
     assert forkpool.worker_count(n_files, n_files * file_bytes, 100) == workers
 
 
