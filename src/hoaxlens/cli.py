@@ -54,6 +54,8 @@ SUMMARY_JSON = "summary.json"
 D_HISTOGRAM_CSV = "d_histogram.csv"
 BOOT_HISTOGRAM_CSV = "bootstrap_means_histogram.csv"
 PLOTS_DIR = "plots"
+# Bins of every histogram attention writes and report draws.
+HISTOGRAM_BINS = 20
 FEATURES_OUTPUTS = (FEATURES_CSV, ZSCORES_CSV, FEATURE_EXCLUSIONS_CSV, NEIGHBORS_CSV)
 ATTENTION_OUTPUTS = (RESULTS_CSV, COHORT_SCORES_CSV, ATTENTION_EXCLUSIONS_CSV, SUMMARY_JSON,
                      D_HISTOGRAM_CSV, BOOT_HISTOGRAM_CSV)
@@ -87,7 +89,6 @@ class RunConfig:
     span: int = 7
     resamples: int = 10000
     seed: int = 0
-    histogram_bins: int = 20
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -107,7 +108,7 @@ class RunConfig:
             if key not in known:
                 log.warning("config %s: ignoring unknown key %r", path, key)
                 continue
-            if key in ("span", "resamples", "seed", "histogram_bins"):
+            if key in ("span", "resamples", "seed"):
                 # bool is a subclass of int; JSON true and 2.0 are not integers.
                 if type(value) is not int:
                     raise InputError(f"config {path}: {key!r} must be an integer, not {value!r}")
@@ -156,10 +157,7 @@ def _iter_csv(path: Path, what: str, header: list[str], stage: str = "the earlie
 
     if not path.exists():
         raise InputError(f"missing {what}: {path} (run {stage} first)")
-    try:
-        yield from corpus.iter_csv(path, header)
-    except corpus.MalformedRecord as exc:
-        raise InputError(str(exc)) from None
+    yield from corpus.iter_csv(path, header)
 
 
 def _csv_float(path: Path, lineno: int, text: str) -> float:
@@ -197,12 +195,8 @@ def _log_files(path: Path) -> list[Path]:
 def _load_hoaxes_unique(path: Path) -> list[corpus.ArticleMeta]:
     from . import corpus
 
-    try:
-        hoaxes = corpus.load_hoaxes(path)
-    except corpus.MalformedRecord as exc:
-        raise InputError(str(exc)) from None
     seen: dict[str, corpus.ArticleMeta] = {}
-    for hoax in hoaxes:
+    for hoax in corpus.load_hoaxes(path):
         if hoax.title in seen:
             log.warning("duplicate hoax entry %s; keeping the first", hoax.title)
             continue
@@ -527,7 +521,7 @@ def cmd_attention(cfg: RunConfig) -> int:
         summary["sample_mean"] = boot.sample_mean
         summary["ci"] = [boot.ci_low, boot.ci_high]
         for name, values in ((D_HISTOGRAM_CSV, d_values), (BOOT_HISTOGRAM_CSV, boot.means)):
-            edges, counts = svgplot.compute_histogram(values, bins=cfg.histogram_bins)
+            edges, counts = svgplot.compute_histogram(values, bins=HISTOGRAM_BINS)
             _write_csv(out / name, ["bin_left", "bin_right", "count"], zip(edges, edges[1:], counts))
     _write_json(out / SUMMARY_JSON, summary)
     mean_s = f"{summary['sample_mean']:.4f}" if d_values else "n/a"
@@ -581,7 +575,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
     def histogram(values, path: Path):
         try:
-            return svgplot.compute_histogram(values, bins=cfg.histogram_bins)
+            return svgplot.compute_histogram(values, bins=HISTOGRAM_BINS)
         except ValueError as exc:  # a span of values too wide to bin
             raise InputError(f"{path}: {exc}") from None
 
@@ -685,10 +679,14 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out = args.out
         return args.func(cfg)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception:
+    except Exception as exc:
+        # A malformed record of any input file is an input fault too. Imported
+        # only here, as each command imports the modules it runs.
+        from .titles import MalformedRecord
+
+        if isinstance(exc, (InputError, MalformedRecord, OSError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         traceback.print_exc()
         return 2
 

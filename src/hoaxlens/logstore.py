@@ -12,15 +12,20 @@ as UTF-8 with U+FFFD for each invalid sequence, and each worker cleans a
 distinct raw title once.
 
 Redirects are folded after counting: once the last file is read, each logged
-title that the redirect table holds as a source has its daily counts added to
-those of its final target, as the store's arrays are built. Given the table's
-path, ``ingest`` loads only the rows reachable from the logged titles, so the
-table's memory grows with the titles in the logs, not with the table.
+title that the redirect table holds as a source has its count on each day added
+to its final target's count on that day, before the store's arrays are built.
+Each day then holds one count per stored (title, day), so the arrays are
+allocated once at their final length. Given the table's path, ``ingest`` loads
+only the rows reachable from the logged titles, so the table's memory grows
+with the titles in the logs, not with the table.
 
 ``ingest`` reads the hourly files in parallel through ``forkpool``, at most one
 worker process per file and one per MiB of input, and merges their counts in
-input order. There is no setting for the worker count: every output is the
-same whatever the number of workers.
+input order. Whatever the number of workers, the files go out by one rule: in
+batches of consecutive hours of one day, at most ``len(files) // (4 * workers)``
+files each but at least one, whose counts the worker, or ``ingest`` itself when
+there is one worker, sums before they are merged into the day's. There is no
+setting for the worker count: every output is the same whatever it is.
 
 The store (``TrafficStore``) has one sparse layout in memory and on disk, where
 it is ``titles.txt`` (one title per line), ``keys.npy``, ``views.npy`` and a
@@ -42,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import forkpool
 from .titles import RedirectTable, clean_title, read_utf8
@@ -281,6 +286,13 @@ def _ingest_file(
     return counts, FileTally(path.name, total, kept, dropped_filter, dropped_title, malformed)
 
 
+def _add_counts(into: dict[str, int], counts: Iterable[tuple[str, int]]) -> None:
+    """Add each (title, count) pair of counts to that title's count in into."""
+    get = into.get
+    for title, c in counts:
+        into[title] = get(title, 0) + c
+
+
 def _read_batch(
     paths: list[Path],
     config: FilterConfig,
@@ -300,12 +312,10 @@ def _read_batch(
             outcomes.append(str(exc))
             continue
         outcomes.append(tally)
-        if not counts:
+        if counts:
+            _add_counts(counts, file_counts.items())
+        else:
             counts = file_counts
-            continue
-        for title, c in file_counts.items():
-            prev = counts.get(title)
-            counts[title] = c if prev is None else prev + c
     return counts, outcomes
 
 
@@ -318,12 +328,14 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
     Order of input files does not affect the resulting counts. Raises
     ValueError on a non-hourly file name and on two files for the same hour
     (such as a plain and a gzipped copy), which would count that hour twice.
-    Files are read in parallel (see the module docstring); their counts are
-    merged as they arrive, in input order.
+    Files are read in parallel, in batches of one day made by one rule for
+    every worker count (see the module docstring); each batch's summed counts
+    are merged into its day's as they arrive, in input order.
 
     After the last file, each counted title that the table holds as a source
-    adds its counts to its resolution's (``RedirectTable.resolve``) as the
-    arrays are built. A table given by path is loaded then, with
+    adds its count on each day to its resolution's (``RedirectTable.resolve``)
+    on that day, and the arrays are then built at their final length in one
+    pass over the titles. A table given by path is loaded then, with
     ``RedirectTable.load(path, sources=<counted titles>)``, so only the rows
     those titles reach are read into memory; a bad row raises its ValueError
     only then, so a caller that must fail before reading any log checks the
@@ -340,10 +352,10 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
         hours[hour] = path
     size = sum(p.stat().st_size for p in hours.values() if p.is_file())
     workers = forkpool.worker_count(len(hours), size, MIN_BYTES_PER_WORKER)
-    # A worker sums the consecutive files of one day it reads as one batch,
-    # which leaves less to send back and merge here; four batches or more per
-    # worker keep the workers evenly loaded.
-    batch_size = 1 if workers == 1 else max(1, len(hours) // (4 * workers))
+    # A worker, or this process when there is one, sums the consecutive files
+    # of one day it reads as one batch, which leaves less to send back and merge
+    # here; four batches or more per worker keep the workers evenly loaded.
+    batch_size = max(1, len(hours) // (4 * workers))
     batches: list[tuple[date, list[Path]]] = []
     for hour, path in hours.items():
         day = hour.date()
@@ -374,9 +386,7 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
             counts = dict(zip(map(share, counts, counts), counts.values()))
         day_counts = by_day.setdefault(day, counts)
         if day_counts is not counts:
-            for title, c in counts.items():
-                prev = day_counts.get(title)
-                day_counts[title] = c if prev is None else prev + c
+            _add_counts(day_counts, counts.items())
     del share  # one entry per title, of no use past the merge
     if not days_seen:
         raise ValueError(f"no readable input files: {', '.join(unreadable)}")
@@ -389,45 +399,36 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
         raise ValueError("total views exceed the int64 range")
     start, end = min(days_seen), max(days_seen)
     days = (end - start).days + 1
-    # The fold: alias -> resolution for each counted title the table holds as a
-    # source. What the array build, the stage's peak, does not use is freed first.
     seen = set().union(*by_day.values())
     if not isinstance(table, RedirectTable):
         table = RedirectTable.load(table, sources=seen)
-    flat = table.flattened(seen)
+    aliases = {a: t for a, t in table.flattened(seen).items() if a != t}
     del table
-    # A resolution is never itself a source that resolves elsewhere, so each
-    # stored title sums its own counts and those of its aliases, if it has any.
-    folds: dict[str, list[str]] = {}
-    for alias, target in flat.items():
-        if alias != target:
-            folds.setdefault(target, [target]).append(alias)
-            seen.discard(alias)
-            seen.add(target)
-    del flat
+    # The fold: on each day, each alias's count is added to its resolution's.
+    # A resolution is never itself a source that resolves elsewhere, so one
+    # pass folds every chain, and each day's map then holds that day's entries.
+    for counts in by_day.values():
+        _add_counts(counts, [(t, counts.pop(a)) for a, t in aliases.items() if a in counts])
+    seen.difference_update(aliases)
+    seen.update(aliases.values())
     titles = sorted(seen)
-    del seen
+    del seen, aliases
     # Title by title, and each title's days in order, gives the keys ascending.
     day_counts = [((day - start).days, by_day[day].get) for day in sorted(by_day)]
     # Imported here: attention, which never builds a store, need not map the module.
     from array import array
 
-    keys, views = array("q"), array("q")
+    entries = sum(map(len, by_day.values()))
+    keys, views = array("q", [0]) * entries, array("q", [0]) * entries
+    i = 0
     for row, title in enumerate(titles):
         first_key = row * days
-        names = folds.get(title)
-        if names is None:
-            for offset, count_of in day_counts:
-                count = count_of(title)
-                if count is not None:
-                    keys.append(first_key + offset)
-                    views.append(count)
-            continue
         for offset, count_of in day_counts:
-            found = [count for count in map(count_of, names) if count is not None]
-            if found:
-                keys.append(first_key + offset)
-                views.append(sum(found))
+            count = count_of(title)
+            if count is not None:
+                keys[i] = first_key + offset
+                views[i] = count
+                i += 1
     return TrafficStore(
         coverage_start=start,
         coverage_end=end,

@@ -345,9 +345,9 @@ def test_ingest_unreadable_file_continues(tmp_path):
     assert store.tallies["files_unreadable"] == 1
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Four CPUs and a worker for every byte; record each pool ingest starts by its size."""
+def _record_pools(monkeypatch, cpus):
+    """Give the process cpus CPUs and ingest a worker for every byte; return the
+    list to which each pool ingest starts appends its size."""
     started = []
     fork_workers = forkpool._fork_workers
 
@@ -356,10 +356,16 @@ def pools(monkeypatch):
         started.append(len(children))
         return children
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(forkpool, "_fork_workers", recording_fork_workers)
     return started
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Four CPUs and a worker for every byte; record each pool ingest starts by its size."""
+    return _record_pools(monkeypatch, 4)
 
 
 def test_ingest_corrupt_middle_file_in_parallel(tmp_path, pools):
@@ -405,6 +411,72 @@ def test_ingest_single_file_starts_no_pool(tmp_path, pools):
     store = ingest([_write_hour(tmp_path, d, 0, ["en A 1 1"])], RedirectTable(), CONFIG)
     assert pools == []
     assert daily_counts(store) == {"A": {d: 1}}
+
+
+# A chain Alias_2 -> Alias_1 -> Target, a second alias of Target, an alias
+# whose target no log names, and titles no row names, two of which ingest drops.
+_WORKER_TABLE = RedirectTable(
+    mapping={"Alias_2": "Alias_1", "Alias_1": "Target", "Other": "Target", "Lone": "Unlogged"}
+)
+_WORKER_TITLES = ["Target", "Alias_1", "Alias_2", "Other", "Lone", "Plain", "Talk:Page", "#frag"]
+
+
+@st.composite
+def _worker_corpus(draw):
+    """Hours per day, each hourly file's (title, count) lines, day by day and
+    hour by hour, and the index of the one file written as a damaged .gz."""
+    days, hours = draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    line = st.tuples(st.sampled_from(_WORKER_TITLES), st.integers(0, 50))
+    files = draw(st.lists(st.lists(line, max_size=8), min_size=days * hours, max_size=days * hours))
+    return hours, files, draw(st.integers(0, len(files) - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=_worker_corpus())
+# Day 1 logs Target and both links of its chain; day 2 logs only aliases of
+# Target; the damaged file is the first of day 3.
+@example(
+    corpus=(
+        2,
+        [[("Target", 1), ("Alias_2", 2)], [("Alias_1", 4), ("Target", 8)],
+         [("Alias_2", 16)], [("Other", 32), ("Alias_1", 64)],
+         [("Target", 128)], [("Lone", 256)]],
+        4,
+    )
+)
+def test_ingest_same_store_whatever_the_workers(corpus):
+    """Forced to fork 2 or 3 workers, ingest builds the store it builds in one
+    process: the same titles, keys, views and tallies, with the files' tallies
+    and the unreadable files in input order."""
+    hours, files, damaged = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = []
+        for i, lines in enumerate(files):
+            day, hour = date(2007, 3, 10) + timedelta(days=i // hours), i % hours
+            body = [f"en {title} {count} 1" for title, count in lines]
+            if i == damaged:
+                path = tmp / f"pagecounts-{day:%Y%m%d}-{hour:02d}0000.gz"
+                path.write_bytes(gzip.compress("".join(f"{b}\n" for b in body).encode())[:-8])
+            else:
+                path = _write_hour(tmp, day, hour, body, gz=i % 2 == 1)
+            paths.append(path)
+        stores = []
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                started = _record_pools(mp, workers)
+                stores.append(ingest(paths, _WORKER_TABLE, CONFIG))
+            assert started == ([] if workers == 1 else [workers])
+    one = stores[0]
+    assert one.unreadable == [paths[damaged].name]
+    for store in stores[1:]:
+        assert (store.coverage_start, store.coverage_end) == (one.coverage_start, one.coverage_end)
+        assert store.titles == one.titles
+        assert store.keys == one.keys
+        assert store.views == one.views
+        assert store.tallies == one.tallies
+        assert store.file_tallies == one.file_tallies
+        assert store.unreadable == one.unreadable
 
 
 @pytest.mark.parametrize(
