@@ -7,7 +7,10 @@ Identical inputs and seed give byte-identical outputs.
 ``ingest`` and ``features`` hand their work to ``forkpool``, which forks worker
 processes when the input is large enough to repay them: ``features`` sends
 chunks of the sorted titles to ``_article_outcomes`` and takes the outcomes
-back in title order. The outputs do not depend on the number of workers.
+back in title order. ``attention``, on two CPUs or more, forks one worker to
+read the earlier stages' tables while it loads the store, and one to write its
+result tables while it runs the bootstrap. The outputs do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 import traceback
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, fields
 from datetime import date
 from importlib import import_module
@@ -457,20 +461,10 @@ def _read_neighbors(out: Path) -> dict[str, list[str]]:
     return neighbors
 
 
-def _score_run(cfg: RunConfig, out: Path) -> tuple[int, list, list[list[str]]]:
-    """The number of hoaxes, and the results and exclusions of scoring them over
-    the traffic store with the tables of the earlier stages. Only what is
-    returned outlives the call, so the store and the tables are freed before
-    the bootstrap."""
-    from . import attention, logstore
-
-    store_dir = cfg.store_dir()
-    if not (store_dir / logstore.MANIFEST_NAME).exists():
-        raise InputError(f"missing traffic store: {store_dir} (run ingest first)")
-    try:
-        store = logstore.load_store(store_dir)
-    except (OSError, EOFError, ValueError) as exc:
-        raise InputError(f"unreadable traffic store {store_dir}: {exc}") from None
+def _read_tables(cfg: RunConfig) -> tuple[list[str], dict, dict, dict, dict]:
+    """The hoax titles, and the creation days, cohorts, carried-over exclusions
+    and neighbor sets of the earlier stages' tables, checked against each other."""
+    out = cfg.out_dir()
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     creation, members, cohort_excluded = _read_cohorts(out)
     neighbors = _read_neighbors(out)
@@ -484,18 +478,45 @@ def _score_run(cfg: RunConfig, out: Path) -> tuple[int, list, list[list[str]]]:
             f"{out / NEIGHBORS_CSV} has no row for {min(stale)!r}, which the features stage "
             "did not exclude as no_fixture; rerun features"
         )
+    return [h.title for h in hoaxes], creation, members, cohort_excluded, neighbors
+
+
+def _load_store(store_dir: Path):
+    """The traffic store in store_dir; a missing or unreadable one is an InputError."""
+    from . import logstore
+
+    if not (store_dir / logstore.MANIFEST_NAME).exists():
+        raise InputError(f"missing traffic store: {store_dir} (run ingest first)")
+    try:
+        return logstore.load_store(store_dir)
+    except (OSError, EOFError, ValueError) as exc:
+        raise InputError(f"unreadable traffic store {store_dir}: {exc}") from None
+
+
+def _score_run(cfg: RunConfig, workers: int) -> tuple[int, list, list[list[str]]]:
+    """The number of hoaxes, and the results and exclusions of scoring them over
+    the traffic store with the tables of the earlier stages. Only what is
+    returned outlives the call, so the store and the tables are freed before
+    the bootstrap.
+
+    With two workers, a forked process reads the tables while this one imports
+    the store's modules and numpy and loads the store; with one, this process
+    reads them after the store. A store error is reported before any error of
+    the tables either way."""
+    from . import forkpool
+
+    with closing(forkpool.ordered_map(_read_tables, [cfg], workers)) as tables:
+        store = _load_store(cfg.store_dir())
+        ((hoax_titles, creation, members, cohort_excluded, neighbors),) = tables
+    from . import attention
+
     results, exclusions, _ = attention.score_hoaxes(
-        store, cfg.span, [h.title for h in hoaxes], creation, members, cohort_excluded, neighbors
+        store, cfg.span, hoax_titles, creation, members, cohort_excluded, neighbors
     )
-    return len(hoaxes), results, exclusions
+    return len(hoax_titles), results, exclusions
 
 
-def cmd_attention(cfg: RunConfig) -> int:
-    from . import attention, svgplot
-
-    out = cfg.out_dir()
-    _unlink(*(out / name for name in ATTENTION_OUTPUTS))
-    n_hoaxes, results, exclusions = _score_run(cfg, out)
+def _write_results(out: Path, results: list, exclusions: list[list[str]]) -> None:
     _write_csv(out / RESULTS_CSV, RESULTS_HEADER, (
         [r.hoax_score.title, r.hoax_score.delta_v, r.cohort_mean, r.cohort_n, r.d]
         for r in results
@@ -504,8 +525,26 @@ def cmd_attention(cfg: RunConfig) -> int:
         [r.hoax_score.title, s.title, s.delta_v] for r in results for s in r.cohort_scores
     ))
     _write_csv(out / ATTENTION_EXCLUSIONS_CSV, HOAX_EXCLUSIONS_HEADER, exclusions)
+
+
+def cmd_attention(cfg: RunConfig) -> int:
+    # Before numpy's first import, which would otherwise start OpenBLAS threads
+    # that spin for about 0.1 s of CPU; the stage makes no BLAS call, and the
+    # spinning would hold the CPU its worker runs on.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # The stage's other modules, numpy among them, are imported once the table
+    # reader is forked, so that it reads while they load.
+    from . import forkpool
+
+    out = cfg.out_dir()
+    outputs = [out / name for name in ATTENTION_OUTPUTS]
+    _unlink(*outputs)
+    # Twice a forked worker runs one task while this process runs another.
+    workers = forkpool.worker_count(tasks=2, amount=2, per_worker=1)
+    n_hoaxes, results, exclusions = _score_run(cfg, workers)
+    from . import attention, svgplot
+
     d_values = [r.d for r in results]
-    del results  # the cohort scores are written; free them before the bootstrap
     summary: dict = {
         "n_hoaxes": n_hoaxes,
         "n_results": len(d_values),
@@ -516,19 +555,34 @@ def cmd_attention(cfg: RunConfig) -> int:
         "sample_mean": None,
         "ci": None,
     }
-    if d_values:
-        boot = attention.bootstrap_mean_ci(d_values, resamples=cfg.resamples, seed=cfg.seed)
-        summary["sample_mean"] = boot.sample_mean
-        summary["ci"] = [boot.ci_low, boot.ci_high]
-        for name, values in ((D_HISTOGRAM_CSV, d_values), (BOOT_HISTOGRAM_CSV, boot.means)):
-            edges, counts = svgplot.compute_histogram(values, bins=HISTOGRAM_BINS)
-            _write_csv(out / name, ["bin_left", "bin_right", "count"], zip(edges, edges[1:], counts))
-    _write_json(out / SUMMARY_JSON, summary)
+    try:
+        # A forked worker writes the result tables while this process runs the
+        # bootstrap; with one worker, this process writes them first and frees
+        # the cohort scores before the bootstrap.
+        writes = forkpool.ordered_map(_write_results, [out], workers, (results, exclusions))
+        del results, exclusions
+        with closing(writes):
+            if workers == 1:
+                list(writes)
+            if d_values:
+                boot = attention.bootstrap_mean_ci(d_values, resamples=cfg.resamples, seed=cfg.seed)
+                summary["sample_mean"] = boot.sample_mean
+                summary["ci"] = [boot.ci_low, boot.ci_high]
+                for name, values in ((D_HISTOGRAM_CSV, d_values), (BOOT_HISTOGRAM_CSV, boot.means)):
+                    edges, counts = svgplot.compute_histogram(values, bins=HISTOGRAM_BINS)
+                    rows = zip(edges, edges[1:], counts)
+                    _write_csv(out / name, ["bin_left", "bin_right", "count"], rows)
+            list(writes)
+        _write_json(out / SUMMARY_JSON, summary)
+    except BaseException:
+        # A table a killed or failed write left truncated must not pass for a result.
+        _unlink(*outputs)
+        raise
     mean_s = f"{summary['sample_mean']:.4f}" if d_values else "n/a"
     print(
         f"attention scores for {len(d_values)} hoaxes "
         f"({summary['d_positive']} with D > 0, mean D {mean_s}), "
-        f"{len(exclusions)} excluded"
+        f"{summary['n_excluded']} excluded"
     )
     return 0
 
@@ -692,7 +746,22 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main and end the process with its exit code, skipping interpreter
+    teardown (10-50 ms a stage) once logging and the standard streams are
+    flushed. Like the interpreter, exit 120 if one of them cannot be flushed."""
+    code = main()
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or stream.closed:
+            continue
+        try:
+            stream.flush()
+        except (OSError, ValueError) as exc:
+            code = 120
+            if stream is sys.stdout:
+                with suppress(OSError, ValueError):
+                    print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    os._exit(code)
 
 
 if __name__ == "__main__":

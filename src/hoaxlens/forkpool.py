@@ -1,18 +1,21 @@
 """An ordered map over forked worker processes, and the rule for how many to fork.
 
 ``ingest`` reads hourly log files and ``features`` computes article features
-with it. Each stage decides how much work one worker must have to repay a
-pool's start, and ``worker_count`` does the rest: one worker per CPU available
-to the process, at most one per task. There is no setting for the worker
-count, as a stage's outputs are the same whatever it is.
+with it, and ``attention`` runs single tasks beside its own work. Each stage
+decides how much work one worker must have to repay a pool's start, and
+``worker_count`` does the rest: one worker per CPU available to the process,
+at most one per task. There is no setting for the worker count, as a stage's
+outputs are the same whatever it is.
 
 The pool is ``os.fork`` and one pipe per worker, with no pool machinery: no
 ``multiprocessing``, no management thread, no call queue. Worker *k* of *w*
 runs tasks *k*, *k + w*, *k + 2w*, ... and writes one pickled result per task
-to its pipe, which the calling process reads in task order. A worker inherits
-the task function, the tasks and the state, so none of them is pickled, and a
-calling script needs no ``__main__`` guard; only results and exceptions cross
-a pipe. With one worker nothing is forked and nothing is imported.
+to its pipe, which the calling process reads in task order. The workers start
+when the map is made, so the calling process can work while they run. A worker
+inherits the task function, the tasks and the state, so none of them is
+pickled, and a calling script needs no ``__main__`` guard; only results and
+exceptions cross a pipe. With one worker nothing is forked and nothing is
+imported, and each task runs when the caller reaches it.
 """
 
 from __future__ import annotations
@@ -152,31 +155,39 @@ def _lost(pid: int, task: int) -> WorkerError:
 
 
 def ordered_map(fn, tasks, workers: int, state: tuple = ()):
-    """Yield ``fn(task, *state)`` for each task, in task order.
+    """An iterator of ``fn(task, *state)`` for each task, in task order.
 
-    With one worker the calling process runs them, all with the same state
-    objects. Otherwise each of workers forked processes inherits state, so a
-    mutable object in it, such as a cache, is shared by the tasks that worker
-    runs. An exception fn raises reaches the caller when its task's result is
-    due, with the worker's traceback text as its cause, or as a WorkerError if
-    it does not survive pickling; a worker that ends without a result raises
-    WorkerError then. Once the last result is read the workers are reaped; on
-    an error, or when the caller closes the generator early, the workers still
-    running are killed first.
+    With one worker the calling process runs each task when the iterator
+    reaches it, all with the same state objects. Otherwise the workers forked
+    processes start before this returns, so the caller can work while they
+    run; each inherits state, so a mutable object in it, such as a cache, is
+    shared by the tasks that worker runs. An exception fn raises reaches the
+    caller when its task's result is due, with the worker's traceback text as
+    its cause, or as a WorkerError if it does not survive pickling; a worker
+    that ends without a result raises WorkerError then. Once the last result
+    is read the workers are reaped; on an error, or when the caller closes the
+    iterator early, even before reading any result, the workers still running
+    are killed first.
     """
     if workers == 1:
-        for task in tasks:
-            yield fn(task, *state)
-        return
+        return (fn(task, *state) for task in tasks)
+    results = _forked_map(fn, list(tasks), workers, state)
+    next(results)  # forks the workers and enters the block that stops them
+    return results
+
+
+def _forked_map(fn, tasks: list, workers: int, state: tuple):
+    """Fork the workers and yield None, then yield the result of each task in
+    task order; the workers are stopped when this is closed or done."""
     import pickle
 
-    tasks = list(tasks)
     workers = min(workers, len(tasks))
     children = _fork_workers(fn, tasks, workers, state)
     readers = [os.fdopen(fd, "rb", closefd=False) for _, fd in children]
     reaped: set[int] = set()
     done = False
     try:
+        yield None
         for i in range(len(tasks)):
             try:
                 result = pickle.load(readers[i % workers])

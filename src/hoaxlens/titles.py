@@ -62,8 +62,13 @@ class MalformedRecord(ValueError):
     """A record of an input file that cannot be read; carries file and line number."""
 
     def __init__(self, path, lineno: int, why: str):
-        super().__init__(f"{path}:{lineno}: {why}")
+        # All three in args, so that the error survives pickling, as a forked worker sends it.
+        super().__init__(path, lineno, why)
         self.lineno = lineno
+
+    def __str__(self) -> str:
+        path, lineno, why = self.args
+        return f"{path}:{lineno}: {why}"
 
 
 def utf8_fault(path: str | Path) -> MalformedRecord:

@@ -497,9 +497,19 @@ def test_report_bad_summary_is_input_error(tmp_path, capsys, body):
 # Runs a command as `python -m hoaxlens.cli` does, with every pool forced to the
 # worker count in argv[1] when it is above 1, then reports which of numpy,
 # numpy.ma and a pool library it loaded, and the size of each pool it forked.
+# The entrypoint ends the process with os._exit; the probe's own process turns it
+# into SystemExit, so that the probe can report, while forked workers still exit.
 _IMPORT_PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 workers, sys.argv = int(sys.argv[1]), ["hoaxlens", *sys.argv[2:]]
+probe_pid, exit_now = os.getpid(), os._exit
+
+def intercept_exit(code):
+    if os.getpid() != probe_pid:
+        exit_now(code)
+    raise SystemExit(code)
+
+os._exit = intercept_exit
 pools = []
 if workers > 1:
     from hoaxlens import forkpool
@@ -534,6 +544,48 @@ def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+def _run_stage(*args: str, stdout=subprocess.PIPE, unbuffered=True) -> subprocess.CompletedProcess:
+    """python -m hoaxlens.cli with args, as the console script runs it; its
+    stdout is block-buffered unless unbuffered."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if unbuffered or k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "hoaxlens.cli", *args],
+        env={**env, "PYTHONPATH": src},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_entrypoint_delivers_output_and_exit_code(run_dir, tmp_path, unbuffered):
+    """The entrypoint ends the process without interpreter teardown, after
+    flushing what a stage printed, on success and on failure."""
+    _, config = _copy_run(run_dir, tmp_path)
+    done = _run_stage("cohort", "--config", str(config), unbuffered=unbuffered)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "built 4 cohorts (24 member rows), 0 hoaxes excluded\n"
+    failed = _run_stage("cohort", "--config", str(tmp_path / "none.json"), unbuffered=unbuffered)
+    assert (failed.returncode, failed.stdout) == (1, "")
+    assert failed.stderr == f"error: config file not found: {tmp_path / 'none.json'}\n"
+
+
+def test_entrypoint_unflushable_stdout_is_exit_120(run_dir, tmp_path):
+    """A summary line that cannot be flushed at exit, here into a pipe nobody
+    reads, gives the interpreter's exit status for it."""
+    _, config = _copy_run(run_dir, tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_stage("cohort", "--config", str(config), stdout=write_end, unbuffered=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert "Broken pipe" in proc.stderr
 
 
 def _loaded_modules(run_dir, tmp_path, command, workers=1) -> list[str]:
@@ -801,6 +853,130 @@ def test_features_task_error_is_exit_2(run_dir, tmp_path, cpus):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" in proc.stderr
     assert "RuntimeError: cannot compute" in proc.stderr
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def attention_cpus(request, monkeypatch):
+    """attention on one CPU, where it forks nothing, or on two, where it forks a
+    table reader and a result writer; yields the CPUs and the pids forked here."""
+    monkeypatch.setattr(forkpool, "available_cpus", lambda: request.param)
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield request.param, forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_attention_same_bytes_whatever_the_cpus(run_dir, tmp_path, monkeypatch, attention_cpus):
+    """On one CPU, this process reads the tables after the store and writes the
+    result tables before the bootstrap; on two, forked workers do both."""
+    cpus, forks = attention_cpus
+    root, config = _copy_run(run_dir, tmp_path)
+    for name in cli.ATTENTION_OUTPUTS:
+        (root / "out" / name).unlink()
+    steps = []
+
+    def recorded(fn, step):
+        """fn, recording step, or step(*args) when step is a function, at each call."""
+
+        def call(*args, **kwargs):
+            steps.append(step(*args) if callable(step) else step)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(logstore, "load_store", recorded(logstore.load_store, "store"))
+    monkeypatch.setattr(cli, "_read_cohorts", recorded(cli._read_cohorts, "cohorts"))
+    monkeypatch.setattr(cli, "_write_csv", recorded(cli._write_csv, lambda path, *_: path.name))
+    boot = recorded(attention.bootstrap_mean_ci, "bootstrap")
+    monkeypatch.setattr(attention, "bootstrap_mean_ci", boot)
+    assert cli.main(["attention", "--config", str(config)]) == 0
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
+    written = ["results.csv", "cohort_scores.csv", "attention_exclusions.csv"]
+    bootstrap = ["bootstrap", "d_histogram.csv", "bootstrap_means_histogram.csv"]
+    if cpus == 1:
+        assert forks == []
+        assert steps == ["store", "cohorts", *written, *bootstrap]
+    else:
+        # The forked workers' reads and writes are not recorded in this process.
+        assert len(forks) == 2
+        assert steps == ["store", *bootstrap]
+
+
+def test_attention_store_error_before_table_error(run_dir, tmp_path, capsys, attention_cpus):
+    """An unreadable store is reported rather than a missing cohorts.csv, which a
+    forked worker finds first; the worker is stopped."""
+    cpus, forks = attention_cpus
+    root, config = _copy_run(run_dir, tmp_path)
+    _edit("keys.npy", lambda data: b"")(root / "out" / "store")
+    (root / "out" / "cohorts.csv").unlink()
+    assert cli.main(["attention", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"unreadable traffic store {root / 'out' / 'store'}" in err
+    assert "cohorts.csv" not in err
+    assert len(forks) == cpus - 1
+
+
+def test_attention_failed_write_leaves_no_result(
+    run_dir, tmp_path, capsys, monkeypatch, attention_cpus
+):
+    """A result table that cannot be written ends the stage with its error, and
+    no output is left, neither summary.json nor the table it cut short."""
+    root, config = _copy_run(run_dir, tmp_path)
+    write_csv = cli._write_csv
+
+    def disk_full_at_cohort_scores(path, header, rows):
+        if path.name == cli.COHORT_SCORES_CSV:
+            path.write_text(",".join(header) + "\n", encoding="utf-8")
+            raise OSError(28, "No space left on device", str(path))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", disk_full_at_cohort_scores)
+    assert cli.main(["attention", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"No space left on device: '{root / 'out' / 'cohort_scores.csv'}'" in err
+    assert [name for name in cli.ATTENTION_OUTPUTS if (root / "out" / name).exists()] == []
+
+
+# Counts this process's OS threads at each fork of attention on two CPUs, in a
+# fresh interpreter, where the stage itself imports numpy.
+_FORK_THREADS_PROBE = """
+import json, os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+from hoaxlens import cli, forkpool
+
+forkpool.available_cpus = lambda: 2
+threads = []
+fork = os.fork
+
+def counting_fork():
+    with open("/proc/self/status") as fh:
+        threads.append(int(fh.read().split("Threads:")[1].split()[0]))
+    return fork()
+
+os.fork = counting_fork
+code = cli.main(["attention", "--config", sys.argv[1]])
+print(json.dumps({"code": code, "threads": threads}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_attention_forks_with_one_thread(run_dir, tmp_path):
+    """Neither fork copies a process with other threads: numpy's OpenBLAS starts
+    none, and the table reader is forked before numpy is imported."""
+    root, config = _copy_run(run_dir, tmp_path)
+    proc = _run_python(_FORK_THREADS_PROBE, str(config))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "threads": [1, 1]}
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
 
 
 def test_attention_runs_without_fixtures(run_dir, tmp_path):

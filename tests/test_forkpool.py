@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,60 @@ def test_close_after_one_result(alarm):
     results.close()
     with pytest.raises(StopIteration):
         next(results)
+
+
+def test_workers_start_when_called(tmp_path, alarm):
+    """The workers run before the first result is asked for, so the caller can work meanwhile."""
+
+    def fn(task):
+        (tmp_path / str(task)).touch()
+        return task
+
+    results = forkpool.ordered_map(fn, range(3), 2)
+    while len(list(tmp_path.iterdir())) < 3:
+        time.sleep(0.01)
+    assert list(results) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_close_before_any_result_leaves_no_child(alarm, workers):
+    def fn(task):
+        time.sleep(60)
+        return task
+
+    results = forkpool.ordered_map(fn, range(4), workers)
+    results.close()
+    assert_no_child_left()
+    with pytest.raises(StopIteration):
+        next(results)
+
+
+def test_single_task_error_raised_at_collection():
+    """One task forks one worker; its exception waits for the caller to read the result."""
+
+    def fn(task):
+        raise KeyError(f"{task} failed")
+
+    results = forkpool.ordered_map(fn, ["only"], 2)
+    with pytest.raises(KeyError, match="only failed") as info:
+        next(results)
+    assert isinstance(info.value.__cause__, forkpool.RemoteTraceback)
+    assert "KeyError: 'only failed'" in str(info.value.__cause__)
+
+
+def test_one_worker_runs_each_task_here_when_reached():
+    ran = []
+
+    def fn(task):
+        ran.append((task, os.getpid()))
+        return task
+
+    results = forkpool.ordered_map(fn, range(3), 1)
+    assert ran == []
+    assert next(results) == 0
+    assert ran == [(0, os.getpid())]
+    assert list(results) == [1, 2]
+    assert ran == [(task, os.getpid()) for task in range(3)]
 
 
 def test_killed_worker_raises_without_hanging(alarm):

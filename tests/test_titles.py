@@ -1,5 +1,6 @@
 """The UTF-8 rule every text input is read by: titles.read_utf8 and its fault."""
 
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -61,3 +62,12 @@ def test_read_utf8_names_the_line_of_invalid_bytes(before, bad, after):
     lineno = _first_bad_line(data)
     assert fault.lineno == lineno
     assert str(fault).startswith(f"{path}:{lineno}: not valid UTF-8 (")
+
+
+def test_malformed_record_survives_pickling():
+    """A forked worker sends a fault back pickled; it keeps its message and line."""
+    fault = titles.MalformedRecord(Path("out/cohorts.csv"), 7, "expected 3 fields")
+    copy = pickle.loads(pickle.dumps(fault, pickle.HIGHEST_PROTOCOL))
+    assert type(copy) is titles.MalformedRecord
+    assert str(copy) == str(fault) == "out/cohorts.csv:7: expected 3 fields"
+    assert copy.lineno == 7
