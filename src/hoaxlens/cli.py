@@ -1,8 +1,9 @@
 """Pipeline driver: ingest, cohort, features, attention, report.
 
 Every command reads its inputs from a JSON run config (paths resolved relative
-to the config file) and writes fixed-name outputs under the out directory.
-Identical inputs and seed give byte-identical outputs.
+to the config file) and writes the outputs ``STAGE_OUTPUTS`` names for it under
+the out directory; ``main`` removes them before the command runs and again when
+it fails. Identical inputs and seed give byte-identical outputs.
 
 ``ingest`` and ``features`` hand their work to ``forkpool``, which forks worker
 processes when the input is large enough to repay them: ``features`` sends
@@ -60,9 +61,15 @@ BOOT_HISTOGRAM_CSV = "bootstrap_means_histogram.csv"
 PLOTS_DIR = "plots"
 # Bins of every histogram attention writes and report draws.
 HISTOGRAM_BINS = 20
-FEATURES_OUTPUTS = (FEATURES_CSV, ZSCORES_CSV, FEATURE_EXCLUSIONS_CSV, NEIGHBORS_CSV)
-ATTENTION_OUTPUTS = (RESULTS_CSV, COHORT_SCORES_CSV, ATTENTION_EXCLUSIONS_CSV, SUMMARY_JSON,
-                     D_HISTOGRAM_CSV, BOOT_HISTOGRAM_CSV)
+# Each command's outputs, as glob patterns under out; ingest's store files come on top.
+STAGE_OUTPUTS = {
+    "ingest": (INGEST_REPORT,),
+    "cohort": (COHORTS_CSV, COHORT_EXCLUSIONS_CSV),
+    "features": (FEATURES_CSV, ZSCORES_CSV, FEATURE_EXCLUSIONS_CSV, NEIGHBORS_CSV),
+    "attention": (RESULTS_CSV, COHORT_SCORES_CSV, ATTENTION_EXCLUSIONS_CSV, SUMMARY_JSON,
+                  D_HISTOGRAM_CSV, BOOT_HISTOGRAM_CSV),
+    "report": (f"{PLOTS_DIR}/cohort_*.svg", f"{PLOTS_DIR}/d_histogram.svg"),
+}
 
 # The header of each table a later stage reads, as _write_csv writes it.
 COHORTS_HEADER = ["hoax_title", "creation_date", "member_title"]
@@ -174,8 +181,14 @@ def _csv_float(path: Path, lineno: int, text: str) -> float:
     return value
 
 
-def _unlink(*paths: Path) -> None:
-    """Remove a stage's old outputs before it reads any input: a failed run leaves none."""
+def _remove_outputs(command: str, cfg: RunConfig) -> None:
+    """Remove the files STAGE_OUTPUTS names for command, and for ingest the store's.
+    No forked worker calls this, as forkpool ends each one with os._exit."""
+    paths = [path for pattern in STAGE_OUTPUTS[command] for path in cfg.out_dir().glob(pattern)]
+    if command == "ingest":
+        from . import logstore
+
+        paths += (cfg.store_dir() / name for name in logstore.STORE_FILES)
     for path in paths:
         path.unlink(missing_ok=True)
 
@@ -229,8 +242,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
     files = _log_files(_require(cfg.logs, "logs"))
     filter_path = _require(cfg.filter_config, "filter_config")
     redirect_path = _require(cfg.redirect_table, "redirect_table")
-    _check_store_dir(cfg.store_dir())
-    _unlink(cfg.out_dir() / INGEST_REPORT, *(cfg.store_dir() / n for n in logstore.STORE_FILES))
     try:
         filter_cfg = logstore.FilterConfig.load(filter_path)
         # Checks the whole table before any log is read, keeping no row; ingest
@@ -266,7 +277,6 @@ def cmd_cohort(cfg: RunConfig) -> int:
     from . import corpus
 
     out = cfg.out_dir()
-    _unlink(out / COHORTS_CSV, out / COHORT_EXCLUSIONS_CSV)
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     try:
         metas, redirects = corpus.load_creation_list(
@@ -334,10 +344,8 @@ MIN_ARTICLES_PER_WORKER = 100
 
 
 def _article_outcomes(titles: list[str], fixtures: Path, hoax_titles: set[str]) -> list:
-    """Each title's outcome: None when it has no fixture; the error message for a
-    fixture that is not UTF-8; else its joined neighbor titles and its features,
-    None for an empty article. An error is returned rather than raised, so that
-    the caller reports the first in title order whichever process computed it."""
+    """Each title's outcome: None when it has no fixture, else its joined neighbor
+    titles and its features, None for an empty article."""
     from . import corpus, wikitext
 
     outcomes: list = []
@@ -346,9 +354,6 @@ def _article_outcomes(titles: list[str], fixtures: Path, hoax_titles: set[str]) 
             source = wikitext.load_article(fixtures, title)
         except FileNotFoundError:
             outcomes.append(None)
-            continue
-        except ValueError as exc:  # not UTF-8
-            outcomes.append(str(exc))
             continue
         # One parse serves both the link density here and the neighborhood attention scores.
         links = wikitext.extract_wikilinks(source.markup)
@@ -368,15 +373,11 @@ def cmd_features(cfg: RunConfig) -> int:
     from . import attention, forkpool, wikitext
 
     out = cfg.out_dir()
-    _unlink(*(out / name for name in FEATURES_OUTPUTS))
     hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
     hoax_titles = {h.title for h in hoaxes}
     fixtures = _require(cfg.fixtures, "fixtures")
     _, members, _ = _read_cohorts(out)
-    titles = set(members)
-    for member_list in members.values():
-        titles.update(member_list)
-    titles = sorted(titles)
+    titles = sorted(set(members).union(*members.values()))
     workers = forkpool.worker_count(len(titles), len(titles), MIN_ARTICLES_PER_WORKER)
     # Chunks of consecutive titles, eight per worker, keep the workers evenly loaded.
     size = max(1, -(-len(titles) // (8 * workers)))
@@ -393,8 +394,6 @@ def cmd_features(cfg: RunConfig) -> int:
                 if outcome is None:
                     exclusions.append([title, "no_fixture"])
                     continue
-                if isinstance(outcome, str):
-                    raise InputError(outcome)
                 neighbors, features = outcome
                 neighbor_rows.append([title, neighbors])
                 if features is None:
@@ -537,8 +536,6 @@ def cmd_attention(cfg: RunConfig) -> int:
     from . import forkpool
 
     out = cfg.out_dir()
-    outputs = [out / name for name in ATTENTION_OUTPUTS]
-    _unlink(*outputs)
     # Twice a forked worker runs one task while this process runs another.
     workers = forkpool.worker_count(tasks=2, amount=2, per_worker=1)
     n_hoaxes, results, exclusions = _score_run(cfg, workers)
@@ -555,29 +552,24 @@ def cmd_attention(cfg: RunConfig) -> int:
         "sample_mean": None,
         "ci": None,
     }
-    try:
-        # A forked worker writes the result tables while this process runs the
-        # bootstrap; with one worker, this process writes them first and frees
-        # the cohort scores before the bootstrap.
-        writes = forkpool.ordered_map(_write_results, [out], workers, (results, exclusions))
-        del results, exclusions
-        with closing(writes):
-            if workers == 1:
-                list(writes)
-            if d_values:
-                boot = attention.bootstrap_mean_ci(d_values, resamples=cfg.resamples, seed=cfg.seed)
-                summary["sample_mean"] = boot.sample_mean
-                summary["ci"] = [boot.ci_low, boot.ci_high]
-                for name, values in ((D_HISTOGRAM_CSV, d_values), (BOOT_HISTOGRAM_CSV, boot.means)):
-                    edges, counts = svgplot.compute_histogram(values, bins=HISTOGRAM_BINS)
-                    rows = zip(edges, edges[1:], counts)
-                    _write_csv(out / name, ["bin_left", "bin_right", "count"], rows)
+    # A forked worker writes the result tables while this process runs the
+    # bootstrap; with one worker, this process writes them first and frees the
+    # cohort scores. closing() reaps the worker before main removes any output.
+    writes = forkpool.ordered_map(_write_results, [out], workers, (results, exclusions))
+    del results, exclusions
+    with closing(writes):
+        if workers == 1:
             list(writes)
-        _write_json(out / SUMMARY_JSON, summary)
-    except BaseException:
-        # A table a killed or failed write left truncated must not pass for a result.
-        _unlink(*outputs)
-        raise
+        if d_values:
+            boot = attention.bootstrap_mean_ci(d_values, resamples=cfg.resamples, seed=cfg.seed)
+            summary["sample_mean"] = boot.sample_mean
+            summary["ci"] = [boot.ci_low, boot.ci_high]
+            for name, values in ((D_HISTOGRAM_CSV, d_values), (BOOT_HISTOGRAM_CSV, boot.means)):
+                edges, counts = svgplot.compute_histogram(values, bins=HISTOGRAM_BINS)
+                rows = zip(edges, edges[1:], counts)
+                _write_csv(out / name, ["bin_left", "bin_right", "count"], rows)
+        list(writes)
+    _write_json(out / SUMMARY_JSON, summary)
     mean_s = f"{summary['sample_mean']:.4f}" if d_values else "n/a"
     print(
         f"attention scores for {len(d_values)} hoaxes "
@@ -617,7 +609,6 @@ def cmd_report(cfg: RunConfig) -> int:
 
     out = cfg.out_dir()
     plots = out / PLOTS_DIR
-    _unlink(*plots.glob("cohort_*.svg"), plots / "d_histogram.svg")
     results_path = out / RESULTS_CSV
     scores_path = out / COHORT_SCORES_CSV
     # Read whole, so that a malformed row stops the stage before any plot is written.
@@ -732,7 +723,15 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
-        return args.func(cfg)
+        if args.command == "ingest":
+            _check_store_dir(cfg.store_dir())  # a refused store keeps every file
+        _remove_outputs(args.command, cfg)
+        try:
+            return args.func(cfg)
+        except BaseException:
+            # No output written before the failure, or cut short by it, may pass for a result.
+            _remove_outputs(args.command, cfg)
+            raise
     except Exception as exc:
         # A malformed record of any input file is an input fault too. Imported
         # only here, as each command imports the modules it runs.

@@ -1,6 +1,7 @@
 """Pipeline commands: config handling, outputs, determinism, exit codes."""
 
 import csv
+import errno
 import gzip
 import json
 import logging
@@ -772,9 +773,6 @@ def test_features_rerun_is_byte_identical(run_dir, tmp_path):
     assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
 
 
-FEATURES_OUTPUTS = ["features.csv", "zscores.csv", "feature_exclusions.csv", "neighbors.csv"]
-
-
 @pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
 def features_workers(request, monkeypatch):
     """The features stage's pool sizes, recorded, with one worker as on a corpus
@@ -800,7 +798,7 @@ def test_features_same_bytes_whatever_the_workers(run_dir, tmp_path, features_wo
     root, config = _copy_run(run_dir, tmp_path)
     (root / "fixtures" / "Cohort_d0_m01.wiki").unlink()
     (root / "fixtures" / "Synth_hoax_00.wiki").write_text("[[!]]", encoding="utf-8")
-    for name in FEATURES_OUTPUTS:
+    for name in cli.STAGE_OUTPUTS["features"]:
         (root / "out" / name).unlink()
     serial = tmp_path / "serial"
     shutil.copytree(root, serial)
@@ -808,7 +806,7 @@ def test_features_same_bytes_whatever_the_workers(run_dir, tmp_path, features_wo
         mp.setattr(forkpool, "worker_count", lambda *args: 1)
         assert cli.main(["features", "--config", str(serial / "config.json")]) == 0
     assert cli.main(["features", "--config", str(config)]) == 0
-    for name in FEATURES_OUTPUTS:
+    for name in cli.STAGE_OUTPUTS["features"]:
         assert (root / "out" / name).read_bytes() == (serial / "out" / name).read_bytes(), name
     exclusions = (root / "out" / "feature_exclusions.csv").read_text()
     assert "Cohort_d0_m01,no_fixture" in exclusions
@@ -880,7 +878,7 @@ def test_attention_same_bytes_whatever_the_cpus(run_dir, tmp_path, monkeypatch, 
     result tables before the bootstrap; on two, forked workers do both."""
     cpus, forks = attention_cpus
     root, config = _copy_run(run_dir, tmp_path)
-    for name in cli.ATTENTION_OUTPUTS:
+    for name in cli.STAGE_OUTPUTS["attention"]:
         (root / "out" / name).unlink()
     steps = []
 
@@ -943,7 +941,7 @@ def test_attention_failed_write_leaves_no_result(
     assert cli.main(["attention", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"No space left on device: '{root / 'out' / 'cohort_scores.csv'}'" in err
-    assert [name for name in cli.ATTENTION_OUTPUTS if (root / "out" / name).exists()] == []
+    assert [name for name in cli.STAGE_OUTPUTS["attention"] if (root / "out" / name).exists()] == []
 
 
 # Counts this process's OS threads at each fork of attention on two CPUs, in a
@@ -1257,6 +1255,81 @@ def test_failed_stage_leaves_no_outputs(run_dir, tmp_path, capsys, mutate, faile
     err = capsys.readouterr().err
     assert named in err
     assert "first" in err
+
+
+def _named_outputs(root, command):
+    """The files under root's out directory that cli.STAGE_OUTPUTS names for
+    command, and for ingest the store files, whether they exist or not."""
+    out = root / "out"
+    paths = {path for pattern in cli.STAGE_OUTPUTS[command] for path in out.glob(pattern)}
+    if command == "ingest":
+        paths |= {out / "store" / name for name in logstore.STORE_FILES}
+    return paths
+
+
+def _disk_full_at(writer, name):
+    """A fault: cli's writer function starts the file name, then fails as on a
+    full disk; it writes every other file."""
+
+    def install(root, monkeypatch):
+        write = getattr(cli, writer)
+
+        def full(path, *args):
+            if path.name == name:
+                path.write_text("partial\n", encoding="utf-8")
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            write(path, *args)
+
+        monkeypatch.setattr(cli, writer, full)
+
+    return install
+
+
+def _d_span_too_wide(root, monkeypatch):
+    """A fault of the input alone: D values of 1e308 and -1e308, a span no finite
+    bins cover, which report finds after it has drawn every cohort plot."""
+    path = root / "out" / "results.csv"
+    header, first, second, *rest = path.read_text(encoding="utf-8").splitlines()
+    huge = [row.rpartition(",")[0] + d for row, d in ((first, ",1e308"), (second, ",-1e308"))]
+    path.write_text("\n".join([header, *huge, *rest]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, fault, named",
+    [
+        ("ingest", _disk_full_at("_write_json", "ingest_report.json"), "No space left on device"),
+        ("cohort", _disk_full_at("_write_csv", "cohort_exclusions.csv"), "No space left on device"),
+        ("features", _disk_full_at("_write_csv", "neighbors.csv"), "No space left on device"),
+        ("report", _d_span_too_wide, "cannot make 20 finite bins"),
+    ],
+    ids=["ingest", "cohort", "features", "report"],
+)
+def test_failure_after_writes_leaves_no_outputs(
+    run_dir, tmp_path, capsys, monkeypatch, command, fault, named
+):
+    """A stage that fails after it has begun writing removes what it wrote: the
+    files written before the failure and the one the failure cut short."""
+    root, config = _copy_run(run_dir, tmp_path)
+    fault(root, monkeypatch)
+    assert cli.main([command, "--config", str(config)]) == 1
+    assert named in capsys.readouterr().err
+    assert sorted(path for path in _named_outputs(root, command) if path.exists()) == []
+
+
+def test_stage_outputs_name_every_file_a_stage_writes(run_dir, tmp_path):
+    """From the inputs alone, each stage creates exactly the files that
+    STAGE_OUTPUTS names for it, so main removes all of them and nothing else."""
+    root, config = _copy_run(run_dir, tmp_path)
+    shutil.rmtree(root / "out")
+
+    def files():
+        return {path for path in root.rglob("*") if path.is_file()}
+
+    for command in ["ingest", "cohort", "features", "attention", "report"]:
+        before = files()
+        assert cli.main([command, "--config", str(config)]) == 0
+        assert files() - before == _named_outputs(root, command), command
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
 
 
 @pytest.mark.parametrize("command", ["features", "attention"])
