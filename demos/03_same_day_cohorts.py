@@ -2,8 +2,9 @@
 Same-day creation cohorts
 =========================
 
-An article's cohort is everything else created on its creation day, with
-redirects collapsed and fellow suspects kept out.
+A creation day's cohort is every article created that day, with redirects
+collapsed and the suspects kept out. Each suspect is compared against the
+cohort of its creation day, so suspects created on one day share one cohort.
 """
 
 import tempfile
@@ -31,14 +32,13 @@ with tempfile.TemporaryDirectory(prefix="cohort_demo_") as tmp:
     metas, redirects = load_creation_list(path)
 print(f"{len(metas)} creation records, {len(redirects.mapping)} redirect mappings")
 
-hoax = next(m for m in metas if m.title == "Suspect_page")
-record = build_cohort(
-    hoax, metas, redirects, hoax_titles={"Suspect_page", "Second_suspect"}
-)
-print(f"\ncohort for {hoax.title} on {record.creation_date}:")
-for member in record.members:
-    print(f"  {member.title}")
-print("(no Second_suspect, no Mudflat, no Shore_life)")
+suspects = {"Suspect_page", "Second_suspect"}
+day = next(m for m in metas if m.title == "Suspect_page").creation_date
+members = build_cohort(day, metas, redirects, suspects)
+print(f"\ncohort of {day}, for Suspect_page and Second_suspect alike:")
+for title in members:
+    print(f"  {title}")
+print("(no suspect, no Mudflat, no Shore_life)")
 
 # Neighbors are the distinct pages an article links to, minus itself and any
 # known suspects.
@@ -46,5 +46,4 @@ links = extract_wikilinks(
     "A hoax about [[Harbor seal]]s near a [[Tidal flat]], see also "
     "[[Suspect page]] and [[Second suspect]]."
 )
-suspects = {"Suspect_page", "Second_suspect"}
 print(f"\nneighbors: {sorted(neighbor_set('Suspect_page', links, suspects))}")

@@ -149,14 +149,14 @@ def cohort_d(
     )
 
 
-def score_hoaxes(store, span: int, hoaxes, creation, members, excluded, neighbors):
-    """D for each title in ``hoaxes`` against the defined scores of its cohort
-    ``members[hoax]``, created on ``creation[hoax]``.
+def score_hoaxes(store, span: int, creation, cohorts, excluded, neighbors):
+    """D for each hoax created on ``creation[hoax]`` against the defined scores
+    of that day's cohort ``cohorts[creation[hoax]]``.
 
     ``excluded`` holds the cohort stage's reason for each hoax it left out, and
     ``neighbors`` the neighbor titles of each article that has a fixture.
     Returns the CohortAttentionResults, the ``[hoax, reason]`` exclusions, both
-    in hoax order, and the score cache's ``cache_info()``.
+    in hoax title order, and the score cache's ``cache_info()``.
     """
     # Imported here so that features loads no more modules. window_totals, delta_v and
     # cohort_d are looked up at each call, so wrappers set on them see every call.
@@ -177,19 +177,16 @@ def score_hoaxes(store, span: int, hoaxes, creation, members, excluded, neighbor
         return "undefined_delta_v" if score is None else score
 
     results, exclusions = [], []
-    for title in hoaxes:
+    for title in sorted(creation.keys() | excluded.keys()):
         if title in excluded:
             exclusions.append([title, excluded[title]])
-            continue
-        if title not in members:
-            exclusions.append([title, "no_cohort"])
             continue
         day0 = creation[title]
         hoax_score = article_score(title, day0)
         if isinstance(hoax_score, str):
             exclusions.append([title, hoax_score])
             continue
-        cohort = [article_score(member, day0) for member in members[title]]
+        cohort = [article_score(member, day0) for member in cohorts[day0]]
         try:
             results.append(cohort_d(hoax_score, [s for s in cohort if not isinstance(s, str)]))
         except EmptyCohortScores:

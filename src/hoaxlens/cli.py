@@ -288,31 +288,34 @@ def cmd_cohort(cfg: RunConfig) -> int:
     by_day: dict[date, list[corpus.ArticleMeta]] = {}
     for meta in metas:
         by_day.setdefault(meta.creation_date, []).append(meta)
+    cohorts = {
+        day: corpus.build_cohort(day, by_day.get(day, []), redirects, hoax_titles)
+        for day in sorted({h.creation_date for h in hoaxes})
+    }
     out.mkdir(parents=True, exist_ok=True)
     rows: list[list[str]] = []
     exclusions: list[list[str]] = []
-    n_cohorts = 0
     for hoax in hoaxes:
-        same_day = by_day.get(hoax.creation_date, [])
-        try:
-            record = corpus.build_cohort(hoax, same_day, redirects, hoax_titles)
-        except corpus.EmptyCohort:
+        members = cohorts[hoax.creation_date]
+        if not members:
             exclusions.append([hoax.title, "empty_cohort"])
             continue
-        n_cohorts += 1
-        for member in record.members:
-            rows.append([hoax.title, record.creation_date.isoformat(), member.title])
+        day = hoax.creation_date.isoformat()
+        rows.extend([hoax.title, day, member] for member in members)
     _write_csv(out / COHORTS_CSV, COHORTS_HEADER, rows)
     _write_csv(out / COHORT_EXCLUSIONS_CSV, HOAX_EXCLUSIONS_HEADER, exclusions)
+    n_cohorts = len(hoaxes) - len(exclusions)
     print(f"built {n_cohorts} cohorts ({len(rows)} member rows), {len(exclusions)} hoaxes excluded")
     return 0
 
 
-def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dict[str, str]]:
-    """Cohort membership and carried-over exclusions from the cohort stage.
+def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[date, list[str]], dict[str, str]]:
+    """Each hoax's creation day, each day's cohort members, and the hoaxes the
+    cohort stage excluded with their reasons, from the cohort stage's tables.
 
-    The table is streamed, its titles interned, as one member recurs in the
-    cohort of every hoax created the same day, and each distinct date parsed once.
+    Every hoax created on one day must list the same members. The table is
+    streamed, its titles interned, as one member recurs under every hoax
+    created the same day, and each distinct date parsed once.
     """
     path = out / COHORTS_CSV
     creation: dict[str, date] = {}
@@ -330,9 +333,17 @@ def _read_cohorts(out: Path) -> tuple[dict[str, date], dict[str, list[str]], dic
         hoax_title = intern(hoax_title)
         creation[hoax_title] = day
         members.setdefault(hoax_title, []).append(intern(member_title))
+    cohorts: dict[date, list[str]] = {}
+    for hoax_title, titles in members.items():
+        day = creation[hoax_title]
+        if cohorts.setdefault(day, titles) != titles:
+            raise InputError(
+                f"{path}: hoax {hoax_title!r} lists other members than an earlier hoax "
+                f"created {day}; rerun cohort"
+            )
     exclusions = _iter_csv(out / COHORT_EXCLUSIONS_CSV, "cohort exclusions", HOAX_EXCLUSIONS_HEADER)
     excluded = {title: reason for _, (title, reason) in exclusions}
-    return creation, members, excluded
+    return creation, cohorts, excluded
 
 
 # One article's features and neighbors take about 0.6-0.8 ms on a 2-vCPU VM,
@@ -373,11 +384,10 @@ def cmd_features(cfg: RunConfig) -> int:
     from . import attention, forkpool, wikitext
 
     out = cfg.out_dir()
-    hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
-    hoax_titles = {h.title for h in hoaxes}
     fixtures = _require(cfg.fixtures, "fixtures")
-    _, members, _ = _read_cohorts(out)
-    titles = sorted(set(members).union(*members.values()))
+    creation, cohorts, excluded = _read_cohorts(out)
+    hoax_titles = creation.keys() | excluded.keys()
+    titles = sorted(set(creation).union(*cohorts.values()))
     workers = forkpool.worker_count(len(titles), len(titles), MIN_ARTICLES_PER_WORKER)
     # Chunks of consecutive titles, eight per worker, keep the workers evenly loaded.
     size = max(1, -(-len(titles) // (8 * workers)))
@@ -409,11 +419,11 @@ def cmd_features(cfg: RunConfig) -> int:
     _write_csv(out / FEATURES_CSV, FEATURES_HEADER, feature_rows)
     values = {title: wikitext.feature_values(f) for title, f in computed.items()}
     z_rows: list[list] = []
-    for hoax_title in sorted(members):
-        if hoax_title not in hoax_titles or hoax_title not in values:
+    for hoax_title in sorted(creation):
+        if hoax_title not in values:
             continue
         hoax_values = values[hoax_title]
-        cohort_features = [values[m] for m in members[hoax_title] if m in values]
+        cohort_features = [values[m] for m in cohorts[creation[hoax_title]] if m in values]
         if not cohort_features:
             exclusions.append([hoax_title, "no_cohort_features"])
             continue
@@ -460,24 +470,23 @@ def _read_neighbors(out: Path) -> dict[str, list[str]]:
     return neighbors
 
 
-def _read_tables(cfg: RunConfig) -> tuple[list[str], dict, dict, dict, dict]:
-    """The hoax titles, and the creation days, cohorts, carried-over exclusions
-    and neighbor sets of the earlier stages' tables, checked against each other."""
+def _read_tables(cfg: RunConfig) -> tuple[dict, dict, dict, dict]:
+    """The creation days, cohorts, carried-over exclusions and neighbor sets of
+    the earlier stages' tables, checked against each other."""
     out = cfg.out_dir()
-    hoaxes = _load_hoaxes_unique(_require(cfg.hoax_list, "hoax_list"))
-    creation, members, cohort_excluded = _read_cohorts(out)
+    creation, cohorts, cohort_excluded = _read_cohorts(out)
     neighbors = _read_neighbors(out)
     path = out / FEATURE_EXCLUSIONS_CSV
     feature_exclusions = _iter_csv(path, "feature exclusions", FEATURE_EXCLUSIONS_HEADER)
     no_fixture = {title for _, (title, reason) in feature_exclusions if reason == "no_fixture"}
     # Every title cohorts.csv names needs a neighbors row or a no_fixture exclusion.
-    stale = set(members).union(*members.values()) - neighbors.keys() - no_fixture
+    stale = set(creation).union(*cohorts.values()) - neighbors.keys() - no_fixture
     if stale:
         raise InputError(
             f"{out / NEIGHBORS_CSV} has no row for {min(stale)!r}, which the features stage "
             "did not exclude as no_fixture; rerun features"
         )
-    return [h.title for h in hoaxes], creation, members, cohort_excluded, neighbors
+    return creation, cohorts, cohort_excluded, neighbors
 
 
 def _load_store(store_dir: Path):
@@ -506,13 +515,13 @@ def _score_run(cfg: RunConfig, workers: int) -> tuple[int, list, list[list[str]]
 
     with closing(forkpool.ordered_map(_read_tables, [cfg], workers)) as tables:
         store = _load_store(cfg.store_dir())
-        ((hoax_titles, creation, members, cohort_excluded, neighbors),) = tables
+        ((creation, cohorts, cohort_excluded, neighbors),) = tables
     from . import attention
 
     results, exclusions, _ = attention.score_hoaxes(
-        store, cfg.span, hoax_titles, creation, members, cohort_excluded, neighbors
+        store, cfg.span, creation, cohorts, cohort_excluded, neighbors
     )
-    return len(hoax_titles), results, exclusions
+    return len(creation.keys() | cohort_excluded.keys()), results, exclusions
 
 
 def _write_results(out: Path, results: list, exclusions: list[list[str]]) -> None:

@@ -1,8 +1,9 @@
 """The CSV reader of every input list and stage table (``iter_csv``), article
 metadata, same-day creation cohorts, link neighborhoods.
 
-A hoax's cohort is every non-redirect, non-hoax article created on the same UTC
-day, with redirect sources collapsed away so each canonical page appears once.
+A creation day's cohort is every non-redirect, non-hoax article created that UTC
+day, with redirect sources collapsed away so each canonical page appears once;
+every hoax created that day is compared against it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ _TRUTHY = {"1", "true", "yes"}
 CSV_FIELD_LIMIT = 2 ** (8 * struct.calcsize("l") - 1) - 1
 
 
-class EmptyCohort(ValueError):
-    """No eligible articles were created the same day as the hoax."""
-
-
 class NoNeighbors(ValueError):
     """The article links to nothing usable; attention is unmeasurable."""
 
@@ -42,18 +39,10 @@ class ArticleMeta:
     title: str
     created_at: datetime
     is_redirect: bool = False
-    is_hoax: bool = False
 
     @property
     def creation_date(self) -> date:
         return self.created_at.date()
-
-
-@dataclass
-class CohortRecord:
-    hoax: ArticleMeta
-    members: list[ArticleMeta]
-    creation_date: date
 
 
 def _parse_timestamp(value: str, path, lineno: int) -> datetime:
@@ -108,7 +97,7 @@ def iter_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
 def load_hoaxes(path: str | Path) -> list[ArticleMeta]:
     """Hoax list CSV with header ``title,created_at``; empty file means no hoaxes."""
     return [
-        ArticleMeta(_clean_or_raise(title, path, n), _parse_timestamp(at, path, n), is_hoax=True)
+        ArticleMeta(_clean_or_raise(title, path, n), _parse_timestamp(at, path, n))
         for n, (title, at) in iter_csv(path, HOAX_HEADER)
     ]
 
@@ -140,49 +129,33 @@ def load_creation_list(path: str | Path) -> tuple[list[ArticleMeta], RedirectTab
 
 
 def build_cohort(
-    hoax: ArticleMeta,
-    same_day,
-    redirects: RedirectTable,
-    hoax_titles=frozenset(),
-) -> CohortRecord:
-    """Same-day cohort for one hoax.
+    day: date, same_day: Iterable[ArticleMeta], redirects: RedirectTable, hoax_titles
+) -> list[str]:
+    """The cohort of creation day ``day``: the distinct titles of the articles
+    in ``same_day``, sorted so that input order does not matter, or [] when
+    none is left.
 
-    Redirect rows and anything the redirect table knows as a source are
-    collapsed away (target already present or absent either way), other hoaxes
-    are excluded and logged, and members are deduped and sorted by title so the
-    result is independent of input order.
+    Hoaxes, redirect rows and anything the redirect table knows as a source
+    (target present or not) are left out. Every article must be created on ``day``.
     """
-    day = hoax.creation_date
-    members: dict[str, ArticleMeta] = {}
-    for meta in sorted(same_day, key=lambda m: m.title):
+    members: set[str] = set()
+    hoaxes = redirect_rows = sources = 0
+    for meta in same_day:
         if meta.creation_date != day:
-            raise ValueError(
-                f"{meta.title} created {meta.creation_date}, expected {day}"
-            )
-        if meta.title == hoax.title:
-            continue
-        if meta.is_hoax or meta.title in hoax_titles:
-            log.info("cohort %s: excluding fellow hoax %s", hoax.title, meta.title)
-            continue
-        if meta.is_redirect:
-            continue
-        if meta.title in redirects.mapping:
-            log.info(
-                "cohort %s: collapsing redirect source %s into %s",
-                hoax.title,
-                meta.title,
-                redirects.resolve(meta.title),
-            )
-            continue
-        if meta.title not in members:
-            members[meta.title] = meta
-    if not members:
-        raise EmptyCohort(f"no cohort members for {hoax.title} on {day}")
-    return CohortRecord(
-        hoax=hoax,
-        members=[members[t] for t in sorted(members)],
-        creation_date=day,
+            raise ValueError(f"{meta.title} created {meta.creation_date}, expected {day}")
+        if meta.title in hoax_titles:
+            hoaxes += 1
+        elif meta.is_redirect:
+            redirect_rows += 1
+        elif meta.title in redirects.mapping:
+            sources += 1
+        else:
+            members.add(meta.title)
+    log.info(
+        "cohort %s: %d members; left out %d hoax rows, %d redirect rows, %d redirect sources",
+        day, len(members), hoaxes, redirect_rows, sources,
     )
+    return sorted(members)
 
 
 def neighbor_set(title: str, links: Iterable[str], hoax_titles=frozenset()) -> set[str]:

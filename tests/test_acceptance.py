@@ -760,22 +760,18 @@ def test_cohort_membership(tmp_path):
     n_rows = len(metas)
     n_redirect_rows = sum(1 for m in metas if m.is_redirect)
     hoax = next(m for m in metas if m.title == "Hoax_Alpha")
-    hoax = corpus.ArticleMeta(
-        title=hoax.title, created_at=hoax.created_at, is_hoax=True
-    )
-    record = corpus.build_cohort(
-        hoax, metas, table, hoax_titles={"Hoax_Alpha", "Hoax_Beta"}
-    )
-    got = [m.title for m in record.members]
+    hoax_titles = {"Hoax_Alpha", "Hoax_Beta"}
+    got = corpus.build_cohort(hoax.creation_date, metas, table, hoax_titles)
     want = [f"Article_{i:02d}" for i in range(67)]
+    redirect_rows = {m.title for m in metas if m.is_redirect}
     ok = (
         n_rows == 100
         and n_redirect_rows == 30
         and got == want
         and len(got) < n_rows
-        and all(not m.is_hoax and not m.is_redirect for m in record.members)
-        and all(m.title not in table.mapping for m in record.members)
-        and all(m.title != hoax.title for m in record.members)
+        and all(t not in hoax_titles and t not in redirect_rows for t in got)
+        and all(t not in table.mapping for t in got)
+        and all(t != hoax.title for t in got)
     )
     _verdict(
         "cohort-membership",

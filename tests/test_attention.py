@@ -323,7 +323,7 @@ _MEMBERS = ["M0", "M1", "M2", "M3", "M4"]
 @st.composite
 def _scoring_cases(draw):
     """Traffic as {title: {day offset: views}} over a drawn coverage, with many
-    zeros, and cohorts whose creation days may leave that coverage."""
+    zeros, and creation days, whose cohorts may leave that coverage."""
     span = draw(st.integers(1, 3))
     days = 2 * span + draw(st.integers(0, 6))
     traffic = {
@@ -333,15 +333,15 @@ def _scoring_cases(draw):
     traffic = {title: views for title, views in traffic.items() if views}
     # Each draw from often() is True three times in four.
     often = st.sampled_from([True, True, True, False])
-    hoaxes = draw(st.permutations(_HOAXES))
-    members = {
-        hoax: draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=4, unique=True))
-        for hoax in _HOAXES
-        if draw(often)
-    }
     # Offsets one day either side of those whose windows fit leave coverage.
     offsets = st.integers(span - 1, days - span)
-    creation = {hoax: _START + timedelta(days=draw(offsets)) for hoax in members}
+    creation = {
+        hoax: _START + timedelta(days=draw(offsets)) for hoax in _HOAXES if draw(often)
+    }
+    cohorts = {
+        day: draw(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=4, unique=True))
+        for day in sorted(set(creation.values()))
+    }
     excluded = {hoax: "empty_cohort" for hoax in _HOAXES if not (draw(often) or draw(often))}
     links = st.sets(st.sampled_from(_STORE_TITLES + _ROWLESS), min_size=1, max_size=3)
     neighbors = {
@@ -349,7 +349,7 @@ def _scoring_cases(draw):
         for title in _HOAXES + _MEMBERS
         if draw(often)
     }
-    return traffic, days, span, hoaxes, creation, members, excluded, neighbors
+    return traffic, days, span, creation, cohorts, excluded, neighbors
 
 
 def _traffic_store(traffic, days) -> TrafficStore:
@@ -369,7 +369,7 @@ def _traffic_store(traffic, days) -> TrafficStore:
     )
 
 
-def _brute_force_scores(traffic, days, span, hoaxes, creation, members, excluded, neighbors):
+def _brute_force_scores(traffic, days, span, creation, cohorts, excluded, neighbors):
     """(hoax, delta_v, [(member, delta_v)], cohort mean, D) per scored hoax, and
     the [hoax, reason] exclusions, straight from the definitions."""
 
@@ -392,18 +392,15 @@ def _brute_force_scores(traffic, days, span, hoaxes, creation, members, excluded
         return (v_before - v_after) / (v_before + v_after)
 
     results, exclusions = [], []
-    for hoax in hoaxes:
+    for hoax in sorted(set(creation) | set(excluded)):
         if hoax in excluded:
             exclusions.append([hoax, excluded[hoax]])
-            continue
-        if hoax not in members:
-            exclusions.append([hoax, "no_cohort"])
             continue
         hoax_dv = score(hoax, creation[hoax])
         if isinstance(hoax_dv, str):
             exclusions.append([hoax, hoax_dv])
             continue
-        cohort = [(m, score(m, creation[hoax])) for m in members[hoax]]
+        cohort = [(m, score(m, creation[hoax])) for m in cohorts[creation[hoax]]]
         cohort = [(m, dv) for m, dv in cohort if not isinstance(dv, str)]
         if not cohort:
             exclusions.append([hoax, "empty_cohort_scores"])
@@ -420,11 +417,9 @@ def _close(values):
 @settings(max_examples=300, deadline=None)
 @given(_scoring_cases())
 def test_score_hoaxes_matches_brute_force(case):
-    traffic, days, span, hoaxes, creation, members, excluded, neighbors = case
+    traffic, days, span, creation, cohorts, excluded, neighbors = case
     store = _traffic_store(traffic, days)
-    results, exclusions, _ = score_hoaxes(
-        store, span, hoaxes, creation, members, excluded, neighbors
-    )
+    results, exclusions, _ = score_hoaxes(store, span, creation, cohorts, excluded, neighbors)
     want, want_exclusions = _brute_force_scores(*case)
     assert exclusions == want_exclusions
     assert [r.hoax_score.title for r in results] == [w[0] for w in want]

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -1332,6 +1333,31 @@ def test_stage_outputs_name_every_file_a_stage_writes(run_dir, tmp_path):
     assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
 
 
+# The config keys naming each stage's input files; no two stages share one.
+STAGE_INPUT_KEYS = {
+    "ingest": ("logs", "filter_config", "redirect_table"),
+    "cohort": ("hoax_list", "creation_lists"),
+    "features": ("fixtures",),
+    "attention": (),
+    "report": (),
+}
+
+
+def test_each_stage_reads_only_its_own_input_keys(run_dir, tmp_path):
+    """Each stage, given no path key but its own inputs' and out, writes the same
+    bytes as the run with every key; span, resamples and seed stay."""
+    root, config = _copy_run(run_dir, tmp_path)
+    shutil.rmtree(root / "out")
+    keys = json.loads(config.read_text())
+    paths = {key for stage_keys in STAGE_INPUT_KEYS.values() for key in stage_keys}
+    assert paths == {key for key, value in keys.items() if isinstance(value, str)} - {"out"}
+    for command, own in STAGE_INPUT_KEYS.items():
+        stage_keys = {key: value for key, value in keys.items() if key in own or key not in paths}
+        config.write_text(json.dumps(stage_keys))
+        assert cli.main([command, "--config", str(config)]) == 0, command
+    assert _tree_bytes(root / "out") == _tree_bytes(run_dir / "out")
+
+
 @pytest.mark.parametrize("command", ["features", "attention"])
 def test_missing_cohort_exclusions_is_input_error(run_dir, tmp_path, capsys, command):
     root, config = _copy_run(run_dir, tmp_path)
@@ -1355,13 +1381,28 @@ def test_read_cohorts_shares_titles_and_dates(tmp_path):
     out = tmp_path / "out"
     rows = "".join(f"{h},2007-03-10,{m}\n" for h in ("H1", "H2") for m in ("M1", "M2"))
     _cohort_tables(out, rows + "H3,2007-03-11,M1\n")
-    creation, members, excluded = cli._read_cohorts(out)
-    assert members == {"H1": ["M1", "M2"], "H2": ["M1", "M2"], "H3": ["M1"]}
-    assert members["H1"][0] is members["H2"][0] is members["H3"][0]
-    assert members["H1"][1] is members["H2"][1]
+    creation, cohorts, excluded = cli._read_cohorts(out)
+    day0, day1 = date(2007, 3, 10), date(2007, 3, 11)
+    assert creation == {"H1": day0, "H2": day0, "H3": day1}
+    assert cohorts == {day0: ["M1", "M2"], day1: ["M1"]}
+    assert cohorts[day0][0] is cohorts[day1][0]
     assert creation["H1"] is creation["H2"]
-    assert creation["H3"].isoformat() == "2007-03-11"
     assert excluded == {"H9": "empty_cohort"}
+
+
+@pytest.mark.parametrize("command", ["features", "attention"])
+def test_hoaxes_of_one_day_with_other_members_is_input_error(run_dir, tmp_path, capsys, command):
+    """Two hoaxes created on one day have one cohort; a cohorts.csv in which they
+    list different members stops the stage rather than scoring either list."""
+    root, config = _copy_run(run_dir, tmp_path)
+    path = root / "out" / "cohorts.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    last = max(i for i, line in enumerate(lines) if line.startswith("Synth_hoax_01,"))
+    assert lines[last].split(",")[1] == lines[1].split(",")[1]  # Synth_hoax_00's day
+    path.write_text("".join(lines[:last] + lines[last + 1 :]), encoding="utf-8")
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: hoax 'Synth_hoax_01' lists other members" in err
 
 
 def test_read_cohorts_names_bad_date_line_and_missing_stage(tmp_path):
@@ -1379,11 +1420,10 @@ def test_score_cache_counts(run_dir):
     score is defined; one miss per distinct (title, creation day)."""
     cfg = cli.RunConfig.load(run_dir / "config.json")
     out = cfg.out_dir()
-    hoaxes = [h.title for h in cli._load_hoaxes_unique(Path(cfg.hoax_list))]
-    creation, members, excluded = cli._read_cohorts(out)
+    creation, cohorts, excluded = cli._read_cohorts(out)
     store = logstore.load_store(cfg.store_dir())
     _, _, info = attention.score_hoaxes(
-        store, cfg.span, hoaxes, creation, members, excluded, cli._read_neighbors(out)
+        store, cfg.span, creation, cohorts, excluded, cli._read_neighbors(out)
     )
 
     def rows(name):
@@ -1494,17 +1534,16 @@ def test_neighbor_table_matches_neighbor_set(articles, hoaxes):
         for title, markup in articles.items():
             path = root / "fixtures" / wikitext.fixture_filename(title, ".wiki")
             path.write_text(markup, encoding="utf-8")
-        with open(root / "hoaxes.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["title", "created_at"])
-            writer.writerows([title, "2007-03-10T08:00:00Z"] for title in sorted(hoaxes))
         with open(root / "out" / "cohorts.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["hoax_title", "creation_date", "member_title"])
             writer.writerows(["No_fixture", "2007-03-10", title] for title in sorted(articles))
-        (root / "out" / "cohort_exclusions.csv").write_text("hoax_title,reason\n")
+        with open(root / "out" / "cohort_exclusions.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["hoax_title", "reason"])
+            writer.writerows([title, "empty_cohort"] for title in sorted(hoaxes))
         config = root / "config.json"
-        keys = {"hoax_list": "hoaxes.csv", "fixtures": "fixtures", "out": "out"}
+        keys = {"fixtures": "fixtures", "out": "out"}
         config.write_text(json.dumps(keys))
         assert cli.main(["features", "--config", str(config)]) == 0
         got = cli._read_neighbors(root / "out")

@@ -1,15 +1,21 @@
 """Hoax lists, creation lists, cohort construction, neighbor sets."""
 
+import json
+import tempfile
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hoaxlens import cli
 from hoaxlens.corpus import (
     ArticleMeta,
-    EmptyCohort,
     MalformedRecord,
     NoNeighbors,
     build_cohort,
+    iter_csv,
     load_creation_list,
     load_hoaxes,
     neighbor_set,
@@ -17,10 +23,12 @@ from hoaxlens.corpus import (
 from hoaxlens.logstore import RedirectTable
 from hoaxlens.wikitext import extract_wikilinks
 
+DAY = date(2006, 3, 10)
 
-def _meta(title, day="2006-03-10", redirect=False, hoax=False):
+
+def _meta(title, day="2006-03-10", redirect=False):
     created = datetime.fromisoformat(day + "T08:00:00+00:00")
-    return ArticleMeta(title=title, created_at=created, is_redirect=redirect, is_hoax=hoax)
+    return ArticleMeta(title=title, created_at=created, is_redirect=redirect)
 
 
 def test_load_hoaxes(tmp_path):
@@ -28,7 +36,6 @@ def test_load_hoaxes(tmp_path):
     path.write_text("title,created_at\nBalboa_Creek,2006-03-10T14:00:00Z\nOther one,2007-01-02T00:00:00Z\n")
     hoaxes = load_hoaxes(path)
     assert [h.title for h in hoaxes] == ["Balboa_Creek", "Other_one"]
-    assert all(h.is_hoax for h in hoaxes)
     assert hoaxes[0].created_at == datetime(2006, 3, 10, 14, tzinfo=timezone.utc)
     assert hoaxes[0].creation_date == date(2006, 3, 10)
 
@@ -88,32 +95,27 @@ def test_load_creation_list_directory(tmp_path):
 
 
 def test_build_cohort_spec_shape():
-    hoax = _meta("Hoax_page", hoax=True)
     same_day = [
         _meta("A"),
         _meta("B"),
         _meta("R", redirect=True),
     ]
     table = RedirectTable(mapping={"R": "A"})
-    record = build_cohort(hoax, same_day, table)
-    assert [m.title for m in record.members] == ["A", "B"]
-    assert record.creation_date == date(2006, 3, 10)
+    assert build_cohort(DAY, same_day, table, {"Hoax_page"}) == ["A", "B"]
 
 
 def test_build_cohort_excludes_hoaxes_and_self():
-    hoax = _meta("Hoax_page", hoax=True)
     same_day = [
-        _meta("Hoax_page", hoax=True),
-        _meta("Other_hoax", hoax=True),
-        _meta("Sneaky_hoax"),  # flagged only via the known-hoax title set
+        _meta("Hoax_page"),
+        _meta("Other_hoax"),
+        _meta("Sneaky_hoax"),
         _meta("Genuine"),
     ]
-    record = build_cohort(hoax, same_day, RedirectTable(), hoax_titles={"Sneaky_hoax", "Hoax_page", "Other_hoax"})
-    assert [m.title for m in record.members] == ["Genuine"]
+    hoax_titles = {"Sneaky_hoax", "Hoax_page", "Other_hoax"}
+    assert build_cohort(DAY, same_day, RedirectTable(), hoax_titles) == ["Genuine"]
 
 
 def test_build_cohort_collapses_redirect_sources():
-    hoax = _meta("Hoax_page", hoax=True)
     same_day = [
         _meta("Target"),
         _meta("Source_listed_as_article"),
@@ -122,42 +124,104 @@ def test_build_cohort_collapses_redirect_sources():
     table = RedirectTable(
         mapping={"Source_listed_as_article": "Target", "Points_outside": "Elsewhere"}
     )
-    record = build_cohort(hoax, same_day, table)
+    members = build_cohort(DAY, same_day, table, {"Hoax_page"})
     # Redirect sources collapse away whether or not the target is present.
-    assert [m.title for m in record.members] == ["Target"]
-    for member in record.members:
-        assert member.title not in table.mapping
-        assert not member.is_redirect
-        assert not member.is_hoax
+    assert members == ["Target"]
+    assert not set(members) & table.mapping.keys()
 
 
 def test_build_cohort_order_independent():
-    hoax = _meta("Hoax_page", hoax=True)
     same_day = [_meta(f"Page_{i:02d}") for i in range(10)]
-    a = build_cohort(hoax, same_day, RedirectTable())
-    b = build_cohort(hoax, list(reversed(same_day)), RedirectTable())
-    assert [m.title for m in a.members] == [m.title for m in b.members]
+    a = build_cohort(DAY, same_day, RedirectTable(), {"Hoax_page"})
+    b = build_cohort(DAY, list(reversed(same_day)), RedirectTable(), {"Hoax_page"})
+    assert a == b
 
 
 def test_build_cohort_dedups_repeated_rows():
-    hoax = _meta("Hoax_page", hoax=True)
     same_day = [_meta("Twice"), _meta("Twice"), _meta("Once")]
-    record = build_cohort(hoax, same_day, RedirectTable())
-    assert [m.title for m in record.members] == ["Once", "Twice"]
+    assert build_cohort(DAY, same_day, RedirectTable(), {"Hoax_page"}) == ["Once", "Twice"]
 
 
-def test_build_cohort_empty_raises():
-    hoax = _meta("Hoax_page", hoax=True)
-    with pytest.raises(EmptyCohort):
-        build_cohort(hoax, [], RedirectTable())
-    with pytest.raises(EmptyCohort):
-        build_cohort(hoax, [_meta("R", redirect=True)], RedirectTable())
+def test_build_cohort_empty_day_has_no_members():
+    assert build_cohort(DAY, [], RedirectTable(), {"Hoax_page"}) == []
+    assert build_cohort(DAY, [_meta("R", redirect=True)], RedirectTable(), {"Hoax_page"}) == []
 
 
 def test_build_cohort_rejects_wrong_day():
-    hoax = _meta("Hoax_page", hoax=True)
     with pytest.raises(ValueError):
-        build_cohort(hoax, [_meta("Late", day="2006-03-11")], RedirectTable())
+        build_cohort(DAY, [_meta("Late", day="2006-03-11")], RedirectTable(), {"Hoax_page"})
+
+
+_DAYS = [date(2006, 3, 10), date(2006, 3, 11), date(2006, 3, 12)]
+_TITLES = ["A", "B", "C", "D", "E", "F"]
+# One creation row: title, day, is_redirect, redirect target. Few titles, so that
+# titles repeat, within a day and across days, and redirect sources are also
+# article rows.
+_CREATION_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(_TITLES),
+        st.sampled_from(_DAYS),
+        st.booleans(),
+        st.sampled_from(["", "Elsewhere", *_TITLES]),
+    ),
+    max_size=20,
+)
+
+
+def _brute_force_cohort(day, rows, hoax_titles) -> list[str]:
+    """The article rows of day, minus hoaxes and every title that a redirect row
+    with a target names as its source, straight from the definition."""
+    sources = {title for title, _, redirect, target in rows if redirect and target}
+    return sorted(
+        {
+            title
+            for title, created, redirect, _ in rows
+            if created == day and not redirect and title not in sources | hoax_titles
+        }
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_CREATION_ROWS,
+    hoaxes=st.dictionaries(st.sampled_from([*_TITLES, "H1", "H2"]), st.sampled_from(_DAYS)),
+    data=st.data(),
+)
+def test_build_cohort_matches_brute_force_filter(rows, hoaxes, data):
+    """build_cohort is the brute-force filter whatever the row order, and the
+    cohort stage writes that day's members under every hoax created on it."""
+    hoax_titles = set(hoaxes)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "creations.csv").write_text(
+            "title,created_at,is_redirect,redirect_target\n"
+            + "".join(f"{t},{d}T08:00:00Z,{int(r)},{to}\n" for t, d, r, to in rows),
+            encoding="utf-8",
+        )
+        (root / "hoaxes.csv").write_text(
+            "title,created_at\n" + "".join(f"{t},{d}T12:00:00Z\n" for t, d in hoaxes.items()),
+            encoding="utf-8",
+        )
+        keys = {"hoax_list": "hoaxes.csv", "creation_lists": "creations.csv", "out": "out"}
+        (root / "config.json").write_text(json.dumps(keys), encoding="utf-8")
+        metas, redirects = load_creation_list(root / "creations.csv")
+        for day in _DAYS:
+            want = _brute_force_cohort(day, rows, hoax_titles)
+            same_day = [meta for meta in metas if meta.creation_date == day]
+            assert build_cohort(day, same_day, redirects, hoax_titles) == want
+            shuffled = data.draw(st.permutations(same_day))
+            assert build_cohort(day, shuffled, redirects, hoax_titles) == want
+        assert cli.main(["cohort", "--config", str(root / "config.json")]) == 0
+        written: dict[str, list[str]] = {}
+        for _, (hoax, day, member) in iter_csv(root / "out" / "cohorts.csv", cli.COHORTS_HEADER):
+            assert day == hoaxes[hoax].isoformat()
+            written.setdefault(hoax, []).append(member)
+        header = cli.HOAX_EXCLUSIONS_HEADER
+        empty = {hoax for _, (hoax, _) in iter_csv(root / "out" / "cohort_exclusions.csv", header)}
+    for hoax, day in hoaxes.items():
+        want = _brute_force_cohort(day, rows, hoax_titles)
+        assert written.get(hoax, []) == want
+        assert (hoax in empty) == (not want)
 
 
 def test_neighbor_set():
