@@ -244,9 +244,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
     redirect_path = _require(cfg.redirect_table, "redirect_table")
     try:
         filter_cfg = logstore.FilterConfig.load(filter_path)
-        # Checks the whole table before any log is read, keeping no row; ingest
-        # loads only the rows the logged titles reach.
-        logstore.RedirectTable.load(redirect_path, sources=())
         store = logstore.ingest(files, redirect_path, filter_cfg)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -501,11 +498,11 @@ def _load_store(store_dir: Path):
         raise InputError(f"unreadable traffic store {store_dir}: {exc}") from None
 
 
-def _score_run(cfg: RunConfig, workers: int) -> tuple[int, list, list[list[str]]]:
-    """The number of hoaxes, and the results and exclusions of scoring them over
-    the traffic store with the tables of the earlier stages. Only what is
-    returned outlives the call, so the store and the tables are freed before
-    the bootstrap.
+def _score_run(cfg: RunConfig, workers: int) -> tuple[list, list[list[str]]]:
+    """The results and exclusions of scoring the hoaxes over the traffic store
+    with the tables of the earlier stages; each hoax has exactly one of them.
+    Only what is returned outlives the call, so the store and the tables are
+    freed before the bootstrap.
 
     With two workers, a forked process reads the tables while this one imports
     the store's modules and numpy and loads the store; with one, this process
@@ -521,7 +518,7 @@ def _score_run(cfg: RunConfig, workers: int) -> tuple[int, list, list[list[str]]
     results, exclusions, _ = attention.score_hoaxes(
         store, cfg.span, creation, cohorts, cohort_excluded, neighbors
     )
-    return len(creation.keys() | cohort_excluded.keys()), results, exclusions
+    return results, exclusions
 
 
 def _write_results(out: Path, results: list, exclusions: list[list[str]]) -> None:
@@ -547,12 +544,12 @@ def cmd_attention(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     # Twice a forked worker runs one task while this process runs another.
     workers = forkpool.worker_count(tasks=2, amount=2, per_worker=1)
-    n_hoaxes, results, exclusions = _score_run(cfg, workers)
+    results, exclusions = _score_run(cfg, workers)
     from . import attention, svgplot
 
     d_values = [r.d for r in results]
     summary: dict = {
-        "n_hoaxes": n_hoaxes,
+        "n_hoaxes": len(results) + len(exclusions),
         "n_results": len(d_values),
         "n_excluded": len(exclusions),
         "d_positive": sum(1 for d in d_values if d > 0),

@@ -158,7 +158,7 @@ def ordered_map(fn, tasks, workers: int, state: tuple = ()):
     """An iterator of ``fn(task, *state)`` for each task, in task order.
 
     With one worker the calling process runs each task when the iterator
-    reaches it, all with the same state objects. Otherwise the workers forked
+    reaches it, all with the same state objects. Otherwise the forked worker
     processes start before this returns, so the caller can work while they
     run; each inherits state, so a mutable object in it, such as a cache, is
     shared by the tasks that worker runs. An exception fn raises reaches the

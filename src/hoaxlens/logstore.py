@@ -15,17 +15,16 @@ Redirects are folded after counting: once the last file is read, each logged
 title that the redirect table holds as a source has its count on each day added
 to its final target's count on that day, before the store's arrays are built.
 Each day then holds one count per stored (title, day), so the arrays are
-allocated once at their final length. Given the table's path, ``ingest`` loads
-only the rows reachable from the logged titles, so the table's memory grows
-with the titles in the logs, not with the table.
+allocated once at their final length. Given the table's path, ``ingest``
+checks the whole table before it reads any log, keeping no row, and later
+loads only the rows reachable from the logged titles, so the table's memory
+grows with the titles in the logs, not with the table.
 
-``ingest`` reads the hourly files in parallel through ``forkpool``, at most one
-worker process per file and one per MiB of input, and merges their counts in
-input order. Whatever the number of workers, the files go out by one rule: in
-batches of consecutive hours of one day, at most ``len(files) // (4 * workers)``
-files each but at least one, whose counts the worker, or ``ingest`` itself when
-there is one worker, sums before they are merged into the day's. There is no
-setting for the worker count: every output is the same whatever it is.
+``ingest`` reads the hourly files in parallel through ``forkpool``, one task
+per log day: a worker, or ``ingest`` itself when there is one worker, reads the
+day's files in hour order and sums their counts. There is at most one worker
+per day and one per MiB of input, and the days come back in day order. There
+is no setting for the worker count: every output is the same whatever it is.
 
 The store (``TrafficStore``) has one sparse layout in memory and on disk, where
 it is ``titles.txt`` (one title per line), ``keys.npy``, ``views.npy`` and a
@@ -293,12 +292,12 @@ def _add_counts(into: dict[str, int], counts: Iterable[tuple[str, int]]) -> None
         into[title] = get(title, 0) + c
 
 
-def _read_batch(
+def _read_day(
     paths: list[Path],
     config: FilterConfig,
     memo: dict[bytes, str | None | object],
 ) -> tuple[dict[str, int], list[FileTally | str]]:
-    """Summed counts of hourly files of one day, and each file's tally or error message.
+    """Summed counts of one day's hourly files, and each file's tally or error message.
 
     A file that cannot be read, even part way through, such as a gzip file
     whose deflate stream is damaged, adds no counts.
@@ -325,70 +324,62 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
 
     Unreadable files are recorded and skipped; the pipeline continues. A file
     that fails mid-read contributes nothing (its partial counts are discarded).
-    Order of input files does not affect the resulting counts. Raises
-    ValueError on a non-hourly file name and on two files for the same hour
-    (such as a plain and a gzipped copy), which would count that hour twice.
-    Files are read in parallel, in batches of one day made by one rule for
-    every worker count (see the module docstring); each batch's summed counts
-    are merged into its day's as they arrive, in input order.
+    Order of input files does not affect the result: each day's files are read
+    in hour order as one task (see the module docstring), and ``file_tallies``
+    and ``unreadable`` list the files in day and hour order. Coverage runs from
+    the first to the last day with a readable file. Raises ValueError on a
+    non-hourly file name and on two files for the same hour (such as a plain
+    and a gzipped copy), which would count that hour twice.
 
-    After the last file, each counted title that the table holds as a source
-    adds its count on each day to its resolution's (``RedirectTable.resolve``)
-    on that day, and the arrays are then built at their final length in one
-    pass over the titles. A table given by path is loaded then, with
-    ``RedirectTable.load(path, sources=<counted titles>)``, so only the rows
-    those titles reach are read into memory; a bad row raises its ValueError
-    only then, so a caller that must fail before reading any log checks the
-    file first with ``sources=()``.
+    A table given by path is checked whole with ``RedirectTable.load(path,
+    sources=())``, keeping no row, before any log is read, so a bad row stops
+    the run first. After the last file it is loaded again with
+    ``sources=<counted titles>``, so only the rows those titles reach are read
+    into memory. Each counted title that the table holds as a source then adds
+    its count on each day to its resolution's (``RedirectTable.resolve``) on
+    that day, and the arrays are built at their final length in one pass over
+    the titles.
     """
     paths = [Path(p) for p in files]
     if not paths:
         raise ValueError("no input files")
+    if not isinstance(table, RedirectTable):
+        RedirectTable.load(table, sources=())
     hours: dict[datetime, Path] = {}
     for path in paths:
         hour = file_hour(path)
         if hour in hours:
             raise ValueError(f"hour {hour:%Y-%m-%d %H}:00 supplied twice: {hours[hour]} and {path}")
         hours[hour] = path
+    day_paths: dict[date, list[Path]] = {}
+    for hour in sorted(hours):
+        day_paths.setdefault(hour.date(), []).append(hours[hour])
     size = sum(p.stat().st_size for p in hours.values() if p.is_file())
-    workers = forkpool.worker_count(len(hours), size, MIN_BYTES_PER_WORKER)
-    # A worker, or this process when there is one, sums the consecutive files
-    # of one day it reads as one batch, which leaves less to send back and merge
-    # here; four batches or more per worker keep the workers evenly loaded.
-    batch_size = max(1, len(hours) // (4 * workers))
-    batches: list[tuple[date, list[Path]]] = []
-    for hour, path in hours.items():
-        day = hour.date()
-        if batches and batches[-1][0] == day and len(batches[-1][1]) < batch_size:
-            batches[-1][1].append(path)
-        else:
-            batches.append((day, [path]))
+    workers = forkpool.worker_count(len(day_paths), size, MIN_BYTES_PER_WORKER)
+    # The counts of each day with a readable file, in day order.
     by_day: dict[date, dict[str, int]] = {}
     file_tallies: list[FileTally] = []
     unreadable: list[str] = []
-    days_seen: list[date] = []
     # Counts from a worker process hold its own copy of each title; keyed again
     # through one title -> title map, they keep one str per title across the days.
     share = {}.setdefault
     # Each worker process, or this one when there is one worker, keeps one title memo.
-    results = forkpool.ordered_map(
-        _read_batch, [batch for _, batch in batches], workers, (config, {})
-    )
-    for (day, batch), (counts, outcomes) in zip(batches, results, strict=True):
-        for path, outcome in zip(batch, outcomes, strict=True):
+    results = forkpool.ordered_map(_read_day, list(day_paths.values()), workers, (config, {}))
+    for (day, day_files), (counts, outcomes) in zip(day_paths.items(), results, strict=True):
+        read = len(file_tallies)
+        for path, outcome in zip(day_files, outcomes, strict=True):
             if isinstance(outcome, str):
                 log.warning("unreadable file %s: %s", path, outcome)
                 unreadable.append(path.name)
             else:
                 file_tallies.append(outcome)
-                days_seen.append(day)
+        if len(file_tallies) == read:
+            continue  # a day without a readable file lies outside coverage
         if workers > 1:
             counts = dict(zip(map(share, counts, counts), counts.values()))
-        day_counts = by_day.setdefault(day, counts)
-        if day_counts is not counts:
-            _add_counts(day_counts, counts.items())
-    del share  # one entry per title, of no use past the merge
-    if not days_seen:
+        by_day[day] = counts
+    del share  # one entry per title, of no use past this loop
+    if not by_day:
         raise ValueError(f"no readable input files: {', '.join(unreadable)}")
     tallies = {"files_processed": len(file_tallies), "files_unreadable": len(unreadable)}
     for key in TALLY_KEYS[2:]:
@@ -397,7 +388,7 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
     # not, overflows int64.
     if sum(sum(counts.values()) for counts in by_day.values()) > INT64_MAX:
         raise ValueError("total views exceed the int64 range")
-    start, end = min(days_seen), max(days_seen)
+    start, end = min(by_day), max(by_day)
     days = (end - start).days + 1
     seen = set().union(*by_day.values())
     if not isinstance(table, RedirectTable):
@@ -414,7 +405,7 @@ def ingest(files, table: RedirectTable | str | Path, config: FilterConfig) -> Tr
     titles = sorted(seen)
     del seen, aliases
     # Title by title, and each title's days in order, gives the keys ascending.
-    day_counts = [((day - start).days, by_day[day].get) for day in sorted(by_day)]
+    day_counts = [((day - start).days, counts.get) for day, counts in by_day.items()]
     # Imported here: attention, which never builds a store, need not map the module.
     from array import array
 

@@ -382,10 +382,8 @@ def test_ingest_reference(tmp_path):
 
 
 def test_ingest_many_files_matches_reference(tmp_path, monkeypatch):
-    """32 hourly files on two days, one gzipped, read by more workers than cores.
-
-    With four workers the files go out in batches of two consecutive hours.
-    """
+    """32 hourly files on two days, one gzipped, with four CPUs forced: each day
+    goes to one of two forked workers as one task."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(logstore, "MIN_BYTES_PER_WORKER", 1)
     rng = np.random.default_rng(606)
@@ -395,7 +393,7 @@ def test_ingest_many_files_matches_reference(tmp_path, monkeypatch):
     files = []
     want: dict[str, dict[date, int]] = {}
     want_tallies = dict.fromkeys(("total", "kept", "filter", "title", "malformed"), 0)
-    # Fifteen hours on the first day, so a batch of two would cross into the next.
+    # Fifteen hours on the first day and seventeen on the second: tasks of unequal size.
     hours = [(10, hour) for hour in range(15)] + [(11, hour) for hour in range(17)]
     for i, (day, hour) in enumerate(hours):
         body = "\n".join(_synth_log_lines(rng, 400, sorted(_REFERENCE_REDIRECTS))) + "\n"

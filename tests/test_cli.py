@@ -281,7 +281,7 @@ def test_bad_last_redirect_row_stops_before_any_log_is_read(tmp_path, capsys, mo
     def read_logs(*args):
         raise AssertionError("ingest read the logs")
 
-    monkeypatch.setattr(logstore, "ingest", read_logs)
+    monkeypatch.setattr(logstore, "_ingest_file", read_logs)
     config = _ingest_run(tmp_path, {"redirects.tsv": "Old\tNew\nA\tB\nBroken" + end})
     assert cli.main(["ingest", "--config", str(config)]) == 1
     assert "redirects.tsv:3: expected source<TAB>target" in capsys.readouterr().err
@@ -1466,7 +1466,8 @@ def test_traced_attention_sees_every_scoring_call(run_dir, tmp_path):
 
 def test_traced_ingest_sees_its_layers(run_dir, tmp_path):
     """bench/launch.py wraps the names cmd_ingest and ingest call through: the
-    table's check, its load for the logged titles inside ingest, and the save."""
+    table's check before any log is read and its load for the logged titles,
+    both inside ingest, and the save."""
     root, config = _copy_run(run_dir, tmp_path)
     spans_path = tmp_path / "spans.json"
     launch = Path(__file__).resolve().parents[1] / "bench" / "launch.py"

@@ -324,6 +324,7 @@ def test_ingest_order_independent(tmp_path):
     b = ingest(list(reversed(files)), RedirectTable(), CONFIG)
     assert daily_counts(a) == daily_counts(b)
     assert a.tallies == b.tallies
+    assert a.file_tallies == b.file_tallies
 
 
 def test_ingest_empty_file_no_errors(tmp_path):
@@ -343,6 +344,16 @@ def test_ingest_unreadable_file_continues(tmp_path):
     assert daily_counts(store)["Physics"] == {d: 3}
     assert store.unreadable == [bad.name]
     assert store.tallies["files_unreadable"] == 1
+
+
+def test_ingest_coverage_ends_at_last_readable_day(tmp_path):
+    d = date(2007, 3, 10)
+    good = _write_hour(tmp_path, d, 0, ["en Physics 3 100"])
+    bad = tmp_path / "pagecounts-20070311-000000.gz"
+    bad.write_bytes(b"this is not gzip data")
+    store = ingest([bad, good], RedirectTable(), CONFIG)
+    assert (store.coverage_start, store.coverage_end) == (d, d)
+    assert store.unreadable == [bad.name]
 
 
 def _record_pools(monkeypatch, cpus):
@@ -369,41 +380,69 @@ def pools(monkeypatch):
 
 
 def test_ingest_corrupt_middle_file_in_parallel(tmp_path, pools):
-    d = date(2007, 3, 10)
+    """One file on each of three days, the middle one damaged: three workers,
+    and coverage still spans the day without a readable file."""
+    d, d2 = date(2007, 3, 10), date(2007, 3, 12)
     first = _write_hour(tmp_path, d, 0, ["en Physics 3 100", "en Maths 1 10"])
     # A gzip stream cut short: its first lines decode, then the read fails.
-    middle = tmp_path / "pagecounts-20070310-010000.gz"
+    middle = tmp_path / "pagecounts-20070311-010000.gz"
     body = "".join(f"en Page_{i} {i} 10\n" for i in range(20000)).encode()
     compressed = gzip.compress(body)
     middle.write_bytes(compressed[: len(compressed) // 2])
-    last = _write_hour(tmp_path, d, 2, ["en Physics 4 100"], gz=True)
+    last = _write_hour(tmp_path, d2, 2, ["en Physics 4 100"], gz=True)
     store = ingest([first, middle, last], RedirectTable(), CONFIG)
     assert pools == [3]
     assert store.unreadable == [middle.name]
     assert [t.name for t in store.file_tallies] == [first.name, last.name]
-    assert daily_counts(store) == {"Physics": {d: 7}, "Maths": {d: 1}}
+    assert daily_counts(store) == {"Physics": {d: 3, d2: 4}, "Maths": {d: 1}}
+    assert (store.coverage_start, store.coverage_end) == (d, d2)
     assert store.tallies["files_processed"] == 2
     assert store.tallies["lines_total"] == 3
 
 
-def test_ingest_sums_batches_of_one_day_in_parallel(tmp_path, pools, monkeypatch):
-    # Two workers and sixteen files of one day make batches of two consecutive hours.
+def test_ingest_sums_each_day_in_parallel(tmp_path, pools, monkeypatch):
+    """Two workers each sum the eight hourly files of one day, given in reverse;
+    the tallies come back in day and hour order."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    d = date(2007, 3, 10)
+    days = [date(2007, 3, 10), date(2007, 3, 11)]
     files = [
-        _write_hour(tmp_path, d, h, [f"en Page_{h % 3} {h + 1} 10", "en Shared 1 10"])
-        for h in range(16)
+        _write_hour(tmp_path, days[i // 8], i % 8, [f"en Page_{i % 3} {i + 1} 10", "en Shared 1 10"])
+        for i in range(16)
     ]
     files[5].unlink()
     files[5] = tmp_path / "pagecounts-20070310-050000.gz"
     files[5].write_bytes(gzip.compress(b"en Shared 100 10\n" * 5000)[:-8])
-    store = ingest(files, RedirectTable(), CONFIG)
+    store = ingest(files[::-1], RedirectTable(), CONFIG)
     assert pools == [2]
     assert store.unreadable == [files[5].name]
     assert [t.name for t in store.file_tallies] == [f.name for i, f in enumerate(files) if i != 5]
-    want = {f"Page_{k}": {d: sum(h + 1 for h in range(k, 16, 3) if h != 5)} for k in range(3)}
-    want["Shared"] = {d: 15}
+    want = {
+        f"Page_{k}": {
+            day: sum(i + 1 for i in range(8 * n, 8 * n + 8) if i % 3 == k and i != 5)
+            for n, day in enumerate(days)
+        }
+        for k in range(3)
+    }
+    want["Shared"] = {days[0]: 7, days[1]: 8}
     assert daily_counts(store) == want
+
+
+def test_ingest_one_day_starts_no_pool(tmp_path, pools):
+    """Sixteen hours of one day are one task, read in this process in hour order
+    whatever the input order, even with four CPUs and a worker for every byte."""
+    d = date(2007, 3, 10)
+    files = [
+        _write_hour(tmp_path, d, h, [f"en Page_{h % 3} {h + 1} 10"], gz=h % 2 == 1)
+        for h in range(16)
+    ]
+    a = ingest(files, RedirectTable(), CONFIG)
+    b = ingest(files[::-1], RedirectTable(), CONFIG)
+    assert pools == []
+    assert daily_counts(a) == {f"Page_{k}": {d: sum(h + 1 for h in range(k, 16, 3))} for k in range(3)}
+    assert (a.titles, a.keys, a.views) == (b.titles, b.keys, b.views)
+    assert (a.coverage_start, a.coverage_end) == (b.coverage_start, b.coverage_end)
+    assert a.tallies == b.tallies
+    assert [t.name for t in b.file_tallies] == [f.name for f in files]
 
 
 def test_ingest_single_file_starts_no_pool(tmp_path, pools):
@@ -424,11 +463,13 @@ _WORKER_TITLES = ["Target", "Alias_1", "Alias_2", "Other", "Lone", "Plain", "Tal
 @st.composite
 def _worker_corpus(draw):
     """Hours per day, each hourly file's (title, count) lines, day by day and
-    hour by hour, and the index of the one file written as a damaged .gz."""
-    days, hours = draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    hour by hour, the index of the one file written as a damaged .gz, and the
+    order in which ingest is given the files."""
+    days, hours = draw(st.integers(1, 4)), draw(st.integers(2, 6))
     line = st.tuples(st.sampled_from(_WORKER_TITLES), st.integers(0, 50))
     files = draw(st.lists(st.lists(line, max_size=8), min_size=days * hours, max_size=days * hours))
-    return hours, files, draw(st.integers(0, len(files) - 1))
+    damaged = draw(st.integers(0, len(files) - 1))
+    return hours, files, damaged, draw(st.permutations(range(len(files))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -442,13 +483,15 @@ def _worker_corpus(draw):
          [("Alias_2", 16)], [("Other", 32), ("Alias_1", 64)],
          [("Target", 128)], [("Lone", 256)]],
         4,
+        [5, 0, 3, 1, 4, 2],
     )
 )
 def test_ingest_same_store_whatever_the_workers(corpus):
-    """Forced to fork 2 or 3 workers, ingest builds the store it builds in one
-    process: the same titles, keys, views and tallies, with the files' tallies
-    and the unreadable files in input order."""
-    hours, files, damaged = corpus
+    """Forced to fork 2 or 3 workers, at most one per day, ingest builds the
+    store it builds in one process: the same titles, keys, views and tallies,
+    with the files' tallies and the unreadable files in day and hour order."""
+    hours, files, damaged, order = corpus
+    days = len(files) // hours
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = []
@@ -465,10 +508,12 @@ def test_ingest_same_store_whatever_the_workers(corpus):
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 started = _record_pools(mp, workers)
-                stores.append(ingest(paths, _WORKER_TABLE, CONFIG))
-            assert started == ([] if workers == 1 else [workers])
+                stores.append(ingest([paths[i] for i in order], _WORKER_TABLE, CONFIG))
+            forked = min(workers, days)
+            assert started == ([] if forked == 1 else [forked])
     one = stores[0]
     assert one.unreadable == [paths[damaged].name]
+    assert [t.name for t in one.file_tallies] == [p.name for p in paths if p != paths[damaged]]
     for store in stores[1:]:
         assert (store.coverage_start, store.coverage_end) == (one.coverage_start, one.coverage_end)
         assert store.titles == one.titles
